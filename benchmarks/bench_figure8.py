@@ -19,7 +19,7 @@ retained-exception count for the corresponding panel (b) series.
 Both algorithms aggregate through the columnar kernels
 (``repro.regression.kernels``): H-tree bulk loading and interior
 aggregation, and one grouped Theorem 3.2 kernel call per rolled-up /
-drilled cuboid (scalar fallback when numpy is absent).  Run through
+drilled cuboid (tiny batches stay on the scalar merge).  Run through
 ``benchmarks/report.py --json PATH`` for machine-readable ``BENCH_*.json``
 output.
 """

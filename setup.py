@@ -1,10 +1,17 @@
-"""Legacy shim so editable installs work without the ``wheel`` package.
+"""Package metadata: all of it lives in this file.
 
-The offline environment lacks ``wheel``; ``pip install -e . --no-build-isolation
---no-use-pep517`` takes the ``setup.py develop`` path, which needs this file.
-All metadata lives in ``pyproject.toml``.
+The library is importable from ``src/`` without installing (``export
+PYTHONPATH=src``).  ``pip install -e .`` installs it in editable mode; pip
+needs the ``wheel`` package for that, and where ``wheel`` is missing
+``python setup.py develop`` does the same install.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+)

@@ -184,7 +184,9 @@ class InprocBackend(ShardBackend):
         engines: list[StreamCubeEngine],
         max_workers: int | None = None,
     ) -> None:
-        self.hosts = [ShardHost(engine) for engine in engines]
+        self.hosts = [
+            ShardHost(engine, shard) for shard, engine in enumerate(engines)
+        ]
         self._pool = ThreadPoolExecutor(
             max_workers=(
                 max_workers if max_workers is not None else len(engines)

@@ -41,6 +41,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
 
+from repro import faults
 from repro.cluster import wire
 from repro.cluster.backends import ClusterConfig, ShardBackend
 from repro.cluster.wire import WorkerCrash
@@ -320,10 +321,13 @@ class ProcessBackend(ShardBackend):
             request_id = worker.request_id
             sock = worker.sock
             try:
-                wire.send_frame(
-                    sock, {"id": request_id, "m": method, "a": payload}
-                )
-                reply = wire.recv_frame(sock)
+                # Each worker has its own I/O thread: key the rpc fault
+                # sites per shard so scheduling cannot move a fault.
+                with faults.scope(worker.index):
+                    wire.send_frame(
+                        sock, {"id": request_id, "m": method, "a": payload}
+                    )
+                    reply = wire.recv_frame(sock)
             except OSError as exc:  # timeout, reset, EOF mid-frame
                 self._mark_dead(worker)
                 raise WorkerCrash(

@@ -93,10 +93,18 @@ _HOST_METHODS = frozenset({"snapshot_to_file", "ping", "_arm_fault"})
 
 
 class ShardHost:
-    """One shard engine plus the invocation surface the backends share."""
+    """One shard engine plus the invocation surface the backends share.
 
-    def __init__(self, engine: StreamCubeEngine) -> None:
+    ``shard`` is the engine's shard index; every invocation runs under
+    ``faults.scope(shard)``, so injected faults count each shard's
+    operations on their own (see :mod:`repro.faults.plan`).
+    """
+
+    def __init__(
+        self, engine: StreamCubeEngine, shard: int | None = None
+    ) -> None:
         self.engine = engine
+        self.shard = shard
         self._fault: tuple[str, str, float] | None = None
 
     # -- shared dispatch ------------------------------------------------
@@ -115,10 +123,13 @@ class ShardHost:
         """Run one allowlisted method with already-decoded arguments."""
         self._maybe_fault(method)
         if method in _ENGINE_METHODS:
-            return getattr(self.engine, method)(*args)
-        if method in _HOST_METHODS:
-            return getattr(self, method)(*args)
-        raise ServiceError(f"unknown shard method {method!r}")
+            target = getattr(self.engine, method)
+        elif method in _HOST_METHODS:
+            target = getattr(self, method)
+        else:
+            raise ServiceError(f"unknown shard method {method!r}")
+        with faults.scope(self.shard):
+            return target(*args)
 
     # -- host-level methods ---------------------------------------------
     def ping(self) -> None:
@@ -183,7 +194,7 @@ def build_host(spec: WorkerSpec) -> ShardHost:
         storage=storage,
         hot_quarters=spec.hot_quarters,
     )
-    return ShardHost(engine)
+    return ShardHost(engine, spec.shard_index)
 
 
 def worker_main(

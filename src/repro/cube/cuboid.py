@@ -89,8 +89,8 @@ class Cuboid:
             key = tuple(m(v) for m, v in zip(mappers, values))
             groups.setdefault(key, []).append(isb)
         out = Cuboid(self.schema, to_coord)
-        # Theorem 3.2 for every group in one columnar kernel call (falls
-        # back to per-group merge_standard for tiny batches / no numpy).
+        # Theorem 3.2 for every group in one columnar kernel call (tiny
+        # batches stay on per-group merge_standard).
         out.cells = merge_groups(groups)
         return out
 

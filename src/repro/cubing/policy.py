@@ -161,8 +161,8 @@ def calibrate_threshold(
     if target_rate == 1.0:
         return 0.0
     # The "lower" quantile: the sample at floor((n-1) * q) of the sorted
-    # population — the same element numpy's method="lower" selects, so the
-    # scalar and numpy builds calibrate to bit-identical thresholds.
+    # population — the same element numpy's method="lower" selects, so
+    # the threshold matches a numpy-quantile calibration bit for bit.
     position = (len(abs_slopes) - 1) * (1.0 - target_rate)
     pivot = abs_slopes[math.floor(position)]
     below = [s for s in abs_slopes if s < pivot]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
+import numpy as np
+
 from repro.cube.cuboid import Cuboid
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
@@ -134,7 +136,7 @@ class _ColumnarDrill:
     def __init__(self, layers: CriticalLayers) -> None:
         from repro.cube.hierarchy import FanoutHierarchy
 
-        self.usable = kernels.HAVE_NUMPY and all(
+        self.usable = all(
             isinstance(dim.hierarchy, FanoutHierarchy)
             for dim in layers.schema.dimensions
         )
@@ -149,8 +151,6 @@ class _ColumnarDrill:
     def _source(self, src_coord: Coord, src: Mapping[Values, ISB]):
         cached = self._sources.get(src_coord)
         if cached is None:
-            import numpy as np
-
             n = len(src)
             # Per-dimension columns; a level-0 dimension holds the ALL
             # sentinel (non-numeric) but is also never consulted, since any
@@ -184,8 +184,6 @@ class _ColumnarDrill:
         all_driven: bool,
     ) -> dict[Values, ISB] | None:
         """The drilled cuboid's cells, or ``None`` to use the scalar loop."""
-        import numpy as np
-
         from repro.cube.hierarchy import ALL
 
         card = 1

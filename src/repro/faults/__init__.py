@@ -26,6 +26,7 @@ from repro.faults.plan import (
     lie,
     load_plan,
     preset_plan,
+    scope,
     stats,
     torn,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "lie",
     "load_plan",
     "preset_plan",
+    "scope",
     "stats",
     "torn",
 ]

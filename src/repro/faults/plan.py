@@ -25,6 +25,18 @@ hooks), skip their first ``after`` matching operations, and may fire
 probabilistically; each rule owns a :class:`random.Random` seeded from
 ``(plan.seed, rule index)`` so a plan replays identically run to run.
 
+Rule state (``after``/``count`` counters and the RNG) is kept per *scope*:
+the shard whose work consults the site, set by :func:`scope` around every
+shard invocation.  Shards run concurrently on pool threads, so one shared
+counter would let thread scheduling decide which shard's read a fault
+lands on — for example, an ``after: 3`` EIO landing on the retry of the
+very read a bit flip just hit, turning two survivable faults into a
+quarantined page.  Per-shard state makes every shard see the same faults
+at the same operations on every run, as a forked worker's private
+injector already does.  Work done outside any shard (the WAL, the
+snapshot manifest) uses the ``None`` scope; the cube's write path
+serializes it.
+
 The injector is process-global by design: forked shard workers *clear*
 any inherited injector and re-install from their ``WorkerSpec``'s plan
 with the supervisor-only sites dropped, so a plan armed in the parent
@@ -38,9 +50,11 @@ import json
 import random
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import ServiceError
 
@@ -56,6 +70,7 @@ __all__ = [
     "active",
     "active_plan",
     "install_for_worker",
+    "scope",
     "check",
     "torn",
     "corrupt",
@@ -254,30 +269,56 @@ def load_plan(spec: str, seed: int = 0) -> FaultPlan:
 class _RuleState:
     __slots__ = ("rule", "rng", "seen", "fired", "remaining")
 
-    def __init__(self, rule: FaultRule, seed: int, index: int) -> None:
+    def __init__(
+        self, rule: FaultRule, seed: int, index: int, scope: Hashable
+    ) -> None:
         self.rule = rule
-        self.rng = random.Random(f"{seed}/{index}/{rule.site}/{rule.kind}")
+        key = f"{seed}/{index}/{rule.site}/{rule.kind}"
+        if scope is not None:
+            key += f"/{scope!r}"
+        self.rng = random.Random(key)
         self.seen = 0
         self.fired = 0
         self.remaining = rule.count if rule.count > 0 else None
 
 
+#: The scope the current thread's fault consultations are keyed on.
+_SCOPE: ContextVar[Hashable] = ContextVar("repro_fault_scope", default=None)
+
+
+@contextmanager
+def scope(key: Hashable) -> Iterator[None]:
+    """Key fault-rule state on ``key`` (a shard index) inside the block."""
+    token = _SCOPE.set(key)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
 class FaultInjector:
-    """The armed form of a plan: per-rule counters, RNGs and a lock."""
+    """The armed form of a plan: per-scope rule counters, RNGs and a lock."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._lock = threading.Lock()
-        self._states = [
-            _RuleState(rule, plan.seed, i)
-            for i, rule in enumerate(plan.rules)
-        ]
+        self._scopes: dict[Hashable, list[_RuleState]] = {}
 
-    def _fire(self, site: str, kinds: tuple[str, ...]) -> list[FaultRule]:
-        """Advance matching rules one operation; returns those that fire."""
+    def _states(self, key: Hashable) -> list[_RuleState]:
+        states = self._scopes.get(key)
+        if states is None:
+            states = self._scopes[key] = [
+                _RuleState(rule, self.plan.seed, i, key)
+                for i, rule in enumerate(self.plan.rules)
+            ]
+        return states
+
+    def _fire(self, site: str, kinds: tuple[str, ...]) -> list[_RuleState]:
+        """Advance the current scope's matching rules one operation;
+        returns the states of those that fire."""
         fired = []
         with self._lock:
-            for state in self._states:
+            for state in self._states(_SCOPE.get()):
                 rule = state.rule
                 if rule.kind not in kinds:
                     continue
@@ -296,13 +337,14 @@ class FaultInjector:
                 if state.remaining is not None:
                     state.remaining -= 1
                 state.fired += 1
-                fired.append(rule)
+                fired.append(state)
         return fired
 
     # Guard methods: one per failure family, so consulting one family
     # never advances another family's counters.
     def check(self, site: str) -> None:
-        for rule in self._fire(site, ("latency", "eio", "enospc")):
+        for state in self._fire(site, ("latency", "eio", "enospc")):
+            rule = state.rule
             if rule.kind == "latency":
                 time.sleep(rule.seconds)
             elif rule.kind == "eio":
@@ -318,12 +360,9 @@ class FaultInjector:
         return bool(self._fire(site, ("torn",)))
 
     def corrupt(self, site: str, data: bytes) -> bytes:
-        for rule in self._fire(site, ("bitflip",)):
+        for state in self._fire(site, ("bitflip",)):
             if not data:
                 continue
-            state = next(
-                s for s in self._states if s.rule is rule
-            )
             mutated = bytearray(data)
             pos = state.rng.randrange(len(mutated))
             mutated[pos] ^= 1 << state.rng.randrange(8)
@@ -334,15 +373,17 @@ class FaultInjector:
         return bool(self._fire(site, ("fsync_lie",)))
 
     def stats(self) -> list[dict[str, Any]]:
+        """Per-rule counters, summed over every scope."""
         with self._lock:
+            scoped = list(self._scopes.values())
             return [
                 {
-                    "site": s.rule.site,
-                    "kind": s.rule.kind,
-                    "seen": s.seen,
-                    "fired": s.fired,
+                    "site": rule.site,
+                    "kind": rule.kind,
+                    "seen": sum(states[i].seen for states in scoped),
+                    "fired": sum(states[i].fired for states in scoped),
                 }
-                for s in self._states
+                for i, rule in enumerate(self.plan.rules)
             ]
 
 

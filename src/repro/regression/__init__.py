@@ -36,7 +36,6 @@ from repro.regression.basis import (
 )
 from repro.regression.isb import ISB, IntVal, isb_of_series
 from repro.regression.kernels import (
-    HAVE_NUMPY,
     ISBColumns,
     group_fit,
     merge_groups,
@@ -65,7 +64,6 @@ __all__ = [
     "interval_length",
     "interval_mean_t",
     "svs",
-    "HAVE_NUMPY",
     "ISBColumns",
     "group_fit",
     "merge_groups",

@@ -31,9 +31,9 @@ Numeric compatibility contract
   cell's arithmetic is the same whether it is sealed alongside 10 cells or
   10,000.
 
-When numpy is unavailable (:data:`HAVE_NUMPY` is ``False``) every caller
-falls back to the scalar reference path; the kernels themselves raise
-:class:`~repro.errors.AggregationError` if invoked.
+numpy is a required dependency.  The scalar functions stay as the reference
+the kernels are tested against, and as the small-batch path
+:func:`merge_groups` picks below :data:`GROUP_MERGE_MIN_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -41,22 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import AggregationError
 from repro.regression.isb import ISB
-
-try:  # numpy is a normal dependency, but every consumer degrades gracefully
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy.typing as npt
 
 __all__ = [
-    "HAVE_NUMPY",
     "ISBColumns",
     "merge_standard_cols",
     "merge_time_cols",
@@ -65,18 +58,6 @@ __all__ = [
     "group_fit",
     "merge_groups",
 ]
-
-#: Below this many rows the numpy call overhead outweighs the vector win;
-#: callers use it to decide between the kernel and the scalar loop.
-VECTOR_MIN_ROWS = 4
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - stripped installs only
-        raise AggregationError(
-            "columnar ISB kernels require numpy; use the scalar functions in "
-            "repro.regression.aggregation instead"
-        )
 
 
 @dataclass(frozen=True)
@@ -104,7 +85,6 @@ class ISBColumns:
     @classmethod
     def from_isbs(cls, isbs: Sequence[ISB] | Iterable[ISB]) -> "ISBColumns":
         """Pack ISB objects into columns (one pass, order preserved)."""
-        _require_numpy()
         items = list(isbs)
         n = len(items)
         t_b = np.fromiter((i.t_b for i in items), dtype=np.int64, count=n)
@@ -145,7 +125,6 @@ def merge_standard_cols(cols: ISBColumns) -> ISB:
     merge_standard`; ulp-compatible with it (sequential sums instead of
     ``fsum`` — see the module docstring).
     """
-    _require_numpy()
     n = len(cols)
     if n == 0:
         raise AggregationError("merge_standard requires at least one child")
@@ -189,7 +168,6 @@ def segment_merge(cols: ISBColumns, seg_starts: Sequence[int]) -> ISBColumns:
     key / dict of lists), then aggregate every group in two ``bincount``
     passes instead of one ``merge_standard`` call per group.
     """
-    _require_numpy()
     n = len(cols)
     starts = np.asarray(seg_starts, dtype=np.int64)
     if len(starts) == 0 or n == 0:
@@ -231,7 +209,6 @@ def merge_time_cols(cols: ISBColumns) -> ISB:
     formula runs as array expressions.  Ulp-compatible with
     :func:`~repro.regression.aggregation.merge_time`.
     """
-    _require_numpy()
     k = len(cols)
     if k == 0:
         raise AggregationError("merge_time requires at least one child")
@@ -281,7 +258,6 @@ def merge_time_grid(columns: Sequence[ISBColumns]) -> ISBColumns:
     columns[R-1][g])``, computed from row ``g``'s values alone (per-group
     independence — see the module docstring).
     """
-    _require_numpy()
     if not columns:
         raise AggregationError("merge_time requires at least one child")
     g = len(columns[0])
@@ -366,7 +342,6 @@ def group_fit(
     exactly as the scalar path does.  (Empty cells never reach this kernel —
     the engine seals those with the shared zero ISB.)
     """
-    _require_numpy()
     n_rows = len(ticks)
     starts = np.asarray(seg_starts, dtype=np.int64)
     if len(starts) == 0 or n_rows == 0:
@@ -418,14 +393,12 @@ def merge_groups(groups: "dict", min_rows: int = GROUP_MERGE_MIN_ROWS) -> "dict"
     H-tree bulk loads all reduce to this shape.  Groups may have different
     intervals from each other; rows *within* one group must share theirs.
 
-    Falls back to the scalar path (``fsum``-based, correctly rounded) when
-    numpy is absent or the batch is tiny; the kernel path folds each group
-    sequentially in list order, agreeing with the scalar result to ulps.
+    Batches under ``min_rows`` rows stay on the scalar path (``fsum``-based,
+    correctly rounded); the kernel path folds each group sequentially in
+    list order, agreeing with the scalar result to ulps.
     """
     from repro.regression.aggregation import merge_standard
 
-    if not HAVE_NUMPY:
-        return {key: merge_standard(isbs) for key, isbs in groups.items()}
     # 1- and 2-child groups dominate real roll-ups and cost more to pack
     # into arrays than to merge; both inline forms are bit-identical to the
     # kernel *and* the fsum reference (a 2-term fsum is one IEEE add).

@@ -106,6 +106,12 @@ class LRUCache:
             self._data.clear()
 
 
+#: Merged window views kept at once.  Each holds a whole refreshed
+#: ``CubeResult`` (megabytes at thousands of cells) and any sealed window
+#: length may be asked for, so the views live in an LRU of this size.
+VIEW_CACHE_CAPACITY = 8
+
+
 class _Flight:
     """One in-flight cache-miss computation; followers await the leader."""
 
@@ -146,9 +152,8 @@ class QueryRouter:
         self.algorithm: Algorithm = algorithm
         self.cache = LRUCache(cache_size)
         self._mu = threading.Lock()
-        self._views: dict[
-            int, tuple[tuple[int, ...], RegressionCubeView]
-        ] = {}
+        # window -> (epoch vector, view); a stale view is evicted on read.
+        self._views = LRUCache(VIEW_CACHE_CAPACITY)
         self._flights: dict[Any, _Flight] = {}
         self._view_flights: dict[int, _Flight] = {}
         self.refreshes = 0
@@ -189,8 +194,8 @@ class QueryRouter:
         vector = self.cube.epoch_vector()
         while True:
             with self._mu:
-                entry = self._views.get(window)
-                if entry is not None and entry[0] == vector:
+                entry = self._views.get_versioned(window, vector)
+                if entry is not None:
                     return entry[1]
                 flight = self._view_flights.get(window)
                 leader = flight is None
@@ -201,9 +206,7 @@ class QueryRouter:
                     result = self.cube.refresh(window, self.algorithm)
                     view = RegressionCubeView(result)
                     with self._mu:
-                        # One line per window: a stale view is simply
-                        # overwritten by the refresh that replaced it.
-                        self._views[window] = (vector, view)
+                        self._views.put(window, (vector, view))
                         self.refreshes += 1
                     return view
                 finally:

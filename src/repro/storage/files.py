@@ -9,8 +9,7 @@ never acknowledged and is re-derivable from the WAL).
 
 Reads go through ``mmap``: the page's bytes are sliced straight out of the
 mapping (then materialized, so the mapping closes immediately) and decoded
-with ``frombuffer`` on the numpy path — no seek/read shuffle, no partial
-parses.
+with ``frombuffer`` — no seek/read shuffle, no partial parses.
 
 Re-putting an existing key appends a new occurrence; the in-memory index
 keeps the **latest** occurrence per key, and :meth:`FileColdStore.compact`

@@ -28,9 +28,8 @@ bit-identical to the zero-backfill a late-born cell's cloned frame would
 have held.  A corrupt page raises
 :class:`~repro.errors.CorruptionError` instead of decoding garbage.
 
-Floats travel as raw IEEE-754 doubles (``numpy`` ``tobytes`` /
-``frombuffer`` when available, ``struct`` otherwise — the two produce the
-same bytes), so pages round-trip bit for bit on either path.
+Floats travel as raw little-endian IEEE-754 doubles (``numpy``
+``tobytes`` / ``frombuffer``), so pages round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ import struct
 import zlib
 from typing import Hashable, Sequence
 
-from repro.errors import CorruptionError, StorageError
-from repro.regression import kernels
-from repro.regression.isb import ISB
+import numpy as np
 
-if kernels.HAVE_NUMPY:
-    import numpy as np
+from repro.errors import CorruptionError, StorageError
+from repro.regression.isb import ISB
 
 __all__ = [
     "PAGE_VERSION",
@@ -79,19 +76,15 @@ PAGE_HEADER_BYTES = _HEADER.size
 
 
 def pack_f64(values: Sequence[float]) -> bytes:
-    """Raw little-endian IEEE-754 doubles (bit-exact, both codec paths)."""
-    if kernels.HAVE_NUMPY:
-        return np.asarray(values, dtype="<f8").tobytes()
-    return struct.pack(f"<{len(values)}d", *values)
+    """Raw little-endian IEEE-754 doubles (bit-exact)."""
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 def unpack_f64(buf: bytes, count: int, offset: int = 0) -> tuple[float, ...]:
     """Inverse of :func:`pack_f64` (reads ``count`` doubles at ``offset``)."""
-    if kernels.HAVE_NUMPY:
-        return tuple(
-            np.frombuffer(buf, dtype="<f8", count=count, offset=offset).tolist()
-        )
-    return struct.unpack_from(f"<{count}d", buf, offset)
+    return tuple(
+        np.frombuffer(buf, dtype="<f8", count=count, offset=offset).tolist()
+    )
 
 
 def _encode_keys(keys: Sequence[Values]) -> bytes:

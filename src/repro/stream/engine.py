@@ -20,6 +20,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable, Literal
 
+import numpy as np
+
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.full import full_materialization
@@ -31,7 +33,6 @@ from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.regression.linear import RunningRegression
 from repro.storage.base import ColdStore
 from repro.storage.pages import ColdPage
 from repro.storage.spill import ColdIndex, demotion_cutoffs
@@ -39,9 +40,6 @@ from repro.stream.records import StreamRecord
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import TiltLevelSpec, TiltTimeFrame, bulk_insert
-
-if kernels.HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "StreamCubeEngine",
@@ -190,11 +188,7 @@ class _CellState:
         order.
         """
         sums = self.tick_sums
-        if (
-            sums
-            or len(ts) < _GROUP_VECTOR_MIN
-            or not kernels.HAVE_NUMPY
-        ):
+        if sums or len(ts) < _GROUP_VECTOR_MIN:
             for t, z in zip(ts, zs):
                 sums[t] = sums.get(t, 0.0) + z
             return
@@ -211,21 +205,6 @@ class _CellState:
     def sorted_items(self) -> list[tuple[int, float]]:
         """The per-tick sums in ascending tick order (the sealing order)."""
         return sorted(self.tick_sums.items())
-
-    def seal(self, lo: int, hi: int) -> ISB:
-        """Fit and clear the quarter's accumulator (scalar reference path).
-
-        Ticks are folded in ascending order — the canonical sealing order —
-        so the sealed ISB does not depend on record arrival order and
-        matches the grouped kernel (:func:`repro.regression.kernels.
-        group_fit`) bit for bit.
-        """
-        running = RunningRegression()
-        for t, z in self.sorted_items():
-            running.add(t, z)
-        self.tick_sums.clear()
-        fit = running.fit_window(lo, hi)
-        return ISB(lo, hi, fit.base, fit.slope)
 
 
 class StreamCubeEngine:
@@ -581,12 +560,14 @@ class StreamCubeEngine:
     def _seal_through(self, quarter: int) -> None:
         """Seal every quarter up to (excluding) ``quarter`` for all cells.
 
-        One grouped kernel call fits every active cell's quarter
-        (:func:`repro.regression.kernels.group_fit`, bit-identical to the
-        scalar :meth:`_CellState.seal`), idle cells share a single zero ISB,
-        and all frames advance through one :func:`~repro.tilt.frame.
-        bulk_insert` — promotions included — instead of N ``seal``/
-        ``insert`` pairs.
+        One grouped kernel call fits every active cell's quarter over its
+        per-tick sums in ascending tick order (:func:`repro.regression.
+        kernels.group_fit`, bit-identical to folding them through
+        :class:`~repro.regression.linear.RunningRegression`), so a sealed
+        ISB does not depend on record arrival order.  Idle cells share a
+        single zero ISB, and all frames advance through one
+        :func:`~repro.tilt.frame.bulk_insert` — promotions included —
+        instead of N ``seal``/``insert`` pairs.
         """
         tpq = self.ticks_per_quarter
         for q in range(self._current_quarter, quarter):
@@ -596,7 +577,8 @@ class StreamCubeEngine:
             states = list(self._cells.values())
             mask = [bool(state.tick_sums) for state in states]
             active = [state for state, m in zip(states, mask) if m]
-            if active and kernels.HAVE_NUMPY:
+            active_isbs: list[ISB] = []
+            if active:
                 ticks: list[int] = []
                 sums: list[float] = []
                 starts: list[int] = []
@@ -617,8 +599,6 @@ class StreamCubeEngine:
                     ISB(lo, hi, b, s)
                     for b, s in zip(base.tolist(), slope.tolist())
                 ]
-            else:
-                active_isbs = [state.seal(lo, hi) for state in active]
             sealed = iter(active_isbs)
             frames = [state.frame for state in states]
             frames.append(self._zero_frame)
@@ -915,59 +895,42 @@ class StreamCubeEngine:
         the sealed history); Theorem 3.3 assembles the exact regression from
         the frame's slots.  This is the primitive the analysis views — and
         the cross-shard merge in :mod:`repro.service` — are built from.
+
+        Every cell frame is a clone of the zero prototype advanced in
+        lockstep (and :meth:`restore` rejects misaligned frames), so one
+        window plan serves every cell and the Theorem 3.3 merges run as one
+        grid kernel call.
         """
         if not self._cells:
             return {}
         keys = list(self._cells)
         frames = [self._cells[key].frame for key in keys]
-        first = frames[0]
-        if kernels.HAVE_NUMPY and all(
-            f is first or f.aligned_with(first) for f in frames[1:]
-        ):
-            # All frames share the quarter grid, so one plan serves every
-            # cell and the Theorem 3.3 merges run as one grid kernel call.
-            try:
-                plan = first.window_plan(t_b, t_e)
-            except TiltFrameError as exc:
-                raise StreamError(
-                    f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
-                ) from exc
-            if len(plan) == 1:
-                level, pos, piece_b, piece_e = plan[0]
-                if pos >= 0:
-                    return {
-                        key: frame._slots[level][pos]
-                        for key, frame in zip(keys, frames)
-                    }
-                return dict(
-                    zip(keys, self._cold_rows(level, piece_b, piece_e, keys))
-                )
-            columns = []
-            for level, pos, piece_b, piece_e in plan:
-                if pos >= 0:
-                    columns.append(
-                        kernels.ISBColumns.from_isbs(
-                            [frame._slots[level][pos] for frame in frames]
-                        )
-                    )
-                else:
-                    # One page fault serves every cell on this piece.
-                    columns.append(
-                        kernels.ISBColumns.from_isbs(
-                            self._cold_rows(level, piece_b, piece_e, keys)
-                        )
-                    )
-            merged = kernels.merge_time_grid(columns).to_isbs()
-            return dict(zip(keys, merged))
-        out: dict[Values, ISB] = {}
-        for key, frame in zip(keys, frames):
-            try:
-                out[key] = frame.query(t_b, t_e)
-            except TiltFrameError as exc:
-                raise StreamError(
-                    f"cell {key}: window [{t_b},{t_e}] not covered: {exc}"
-                ) from exc
-        return out
+        try:
+            plan = frames[0].window_plan(t_b, t_e)
+        except TiltFrameError as exc:
+            raise StreamError(
+                f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
+            ) from exc
+        if len(plan) == 1:
+            level, pos, piece_b, piece_e = plan[0]
+            if pos >= 0:
+                return {
+                    key: frame._slots[level][pos]
+                    for key, frame in zip(keys, frames)
+                }
+            return dict(
+                zip(keys, self._cold_rows(level, piece_b, piece_e, keys))
+            )
+        columns = []
+        for level, pos, piece_b, piece_e in plan:
+            if pos >= 0:
+                rows = [frame._slots[level][pos] for frame in frames]
+            else:
+                # One page fault serves every cell on this piece.
+                rows = self._cold_rows(level, piece_b, piece_e, keys)
+            columns.append(kernels.ISBColumns.from_isbs(rows))
+        merged = kernels.merge_time_grid(columns).to_isbs()
+        return dict(zip(keys, merged))
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
         """The m-layer over the last ``window_quarters`` sealed quarters.

@@ -458,12 +458,13 @@ def bulk_insert(
     results do not depend on how many frames share the batch — a cell seals
     identically on a 1-cell shard and a 10,000-cell engine.
 
-    Falls back to per-frame :meth:`TiltTimeFrame.insert` when numpy is
-    unavailable or the frames are not aligned.  ``assume_aligned=True``
-    skips the per-frame alignment check — only for callers that *own* the
-    frames and maintain alignment as an invariant (the stream engine, whose
-    frames are all clones of one prototype advanced in lockstep); a
-    misaligned frame would silently receive a slot at the wrong position.
+    Falls back to per-frame :meth:`TiltTimeFrame.insert` when the frames
+    are not aligned (callers that do not own their frames may pass any
+    mix).  ``assume_aligned=True`` skips the per-frame alignment check —
+    only for callers that *own* the frames and maintain alignment as an
+    invariant (the stream engine, whose frames are all clones of one
+    prototype advanced in lockstep); a misaligned frame would silently
+    receive a slot at the wrong position.
     """
     frames = list(frames)
     isb_list = list(isbs)
@@ -474,7 +475,7 @@ def bulk_insert(
     if not frames:
         return
     first = frames[0]
-    if not kernels.HAVE_NUMPY or not (
+    if not (
         assume_aligned
         or all(f is first or f.aligned_with(first) for f in frames[1:])
     ):

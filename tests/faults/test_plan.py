@@ -8,6 +8,8 @@ its counters, seeding and validation get direct coverage.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -195,6 +197,44 @@ class TestInjectorSemantics:
             a ^ b for a, b in zip(before, mutated[0])
         ]
         assert sum(bin(d).count("1") for d in diff) == 1
+
+    def test_each_scope_counts_its_own_operations(self):
+        """A one-shot rule fires once per shard and once outside shards."""
+        inj = FaultInjector(self.plan())
+        for key in (0, 1, None):
+            with faults.scope(key):
+                assert self._fires(inj, "store.read")
+                assert not self._fires(inj, "store.read")
+        assert inj.stats()[0] == {
+            "site": "store.read", "kind": "eio", "seen": 6, "fired": 3
+        }
+
+    def test_concurrent_scopes_fire_at_their_own_operations(self):
+        """Threads racing on one injector: each shard's fault still lands
+        on that shard's own fourth read, whatever the interleaving."""
+        inj = FaultInjector(self.plan(after=3))
+        hits: dict[int, list[int]] = {}
+
+        def shard(index: int) -> None:
+            with faults.scope(index):
+                hits[index] = [
+                    op for op in range(200) if self._fires(inj, "store.read")
+                ]
+
+        threads = [
+            threading.Thread(target=shard, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert hits == {i: [3] for i in range(8)}
 
     def test_enospc_errno(self):
         inj = FaultInjector(self.plan(kind="enospc"))

@@ -7,7 +7,12 @@ import pytest
 from repro.errors import ServiceError
 from repro.query.api import RegressionCubeView
 from repro.query.spec import Q
-from repro.service.router import LRUCache, QueryRouter, _Flight
+from repro.service.router import (
+    VIEW_CACHE_CAPACITY,
+    LRUCache,
+    QueryRouter,
+    _Flight,
+)
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.records import StreamRecord
 
@@ -130,6 +135,35 @@ class TestRouterQueries:
         assert router.refreshes == 1
         router.point((1, 1), (0, 0), window_quarters=2)
         assert router.refreshes == 2
+
+    def test_views_stay_bounded_across_windows(self, layers, policy):
+        # Windows the tilt frame can cover: sub-hour suffixes, then whole
+        # hours (four quarters each).
+        hours = VIEW_CACHE_CAPACITY
+        windows = [1, 2, 3] + [4 * h for h in range(1, hours + 1)]
+        cube = ShardedStreamCube(
+            layers, policy, n_shards=2, ticks_per_quarter=TPQ
+        )
+        try:
+            cube.ingest_batch(workload(5, quarters=4 * hours))
+            cube.advance_to(4 * hours * TPQ)
+            router = QueryRouter(cube)
+            expected = {
+                w: RegressionCubeView(cube.refresh(w)).observation_deck()
+                for w in windows
+            }
+            for n, w in enumerate(windows, start=1):
+                assert router.view(w).observation_deck() == expected[w]
+                assert router.stats()["views"] == min(n, VIEW_CACHE_CAPACITY)
+            assert router.refreshes == len(windows)
+            # The oldest windows were evicted: asking again re-refreshes
+            # and still answers exactly; the count never passes the cap.
+            for w in windows[:3]:
+                assert router.view(w).observation_deck() == expected[w]
+            assert router.refreshes == len(windows) + 3
+            assert router.stats()["views"] == VIEW_CACHE_CAPACITY
+        finally:
+            cube.close()
 
 
 class TestInvalidation:

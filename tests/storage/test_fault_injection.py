@@ -11,9 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.cluster import InprocBackend
 from repro.errors import CorruptionError, StorageError
 from repro.storage import open_cold_store
+from repro.stream.engine import StreamCubeEngine
 
+from tests.storage.test_engine_spill import HOT, TPQ, build, traffic
 from tests.storage.test_stores import BACKENDS, page
 
 
@@ -114,3 +117,70 @@ class TestLatency:
         arm("*", "latency", count=0, seconds=0.0)
         store.put_segment(page())
         assert store.get_segment(0, 0, 3) == page()
+
+
+class TestShardScopedFaults:
+    """Where a fault lands depends on each shard's own reads, never on how
+    concurrently running shards interleave.
+
+    The ``page-bitflip`` preset pairs a one-shot bit flip with an
+    ``after: 3`` EIO.  Counted across shards, some interleavings land the
+    EIO on the retry of the read the flip just hit, and a healthy page is
+    quarantined.  Counted per shard, every interleaving of the same
+    per-shard reads sees the same faults at the same reads.
+    """
+
+    QUARTERS = 40
+    SHARDS = 3
+    READS = range(6)  # deep single-quarter windows: one page fault each
+
+    def run(self, tmp_path, order):
+        layers, policy = build()
+        stores = [
+            open_cold_store(tmp_path / f"shard-{shard}")
+            for shard in range(self.SHARDS)
+        ]
+        engines = []
+        for shard, store in enumerate(stores):
+            engine = StreamCubeEngine(
+                layers,
+                policy,
+                ticks_per_quarter=TPQ,
+                storage=store,
+                hot_quarters=HOT,
+            )
+            engine.ingest_many(traffic(shard, self.QUARTERS))
+            engine.advance_to(self.QUARTERS * TPQ)
+            engines.append(engine)
+        backend = InprocBackend(engines)
+        faults.install(faults.preset_plan("page-bitflip", seed=29))
+        try:
+            answers = {
+                (shard, q): backend.call(
+                    shard, "window_isbs", q * TPQ, q * TPQ + TPQ - 1
+                )
+                for shard, q in order
+            }
+            retries = [s.stats().read_retries for s in stores]
+            quarantined = [s.stats().quarantined for s in stores]
+        finally:
+            faults.clear()
+            backend.close()
+            for store in stores:
+                store.close()
+        return answers, retries, quarantined
+
+    def test_fault_placement_ignores_shard_interleaving(self, tmp_path):
+        shard_major = [
+            (shard, q) for shard in range(self.SHARDS) for q in self.READS
+        ]
+        round_robin = [
+            (shard, q) for q in self.READS for shard in range(self.SHARDS)
+        ]
+        first = self.run(tmp_path / "a", shard_major)
+        second = self.run(tmp_path / "b", round_robin)
+        assert first == second
+        _, retries, quarantined = first
+        # Each shard absorbed both of the preset's faults by re-reading.
+        assert retries == [2] * self.SHARDS
+        assert quarantined == [0] * self.SHARDS

@@ -1,7 +1,7 @@
 """The packed columnar page codec: bit-exact round trips, hard failures.
 
-Runs unchanged with or without numpy (``REPRO_FORCE_NO_NUMPY=1``): the two
-float codec paths must produce identical bytes.
+Float columns must be raw little-endian IEEE-754 doubles — byte for byte
+what ``struct`` packs as ``<d`` — so pages stay portable across builds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def sample_page() -> ColdPage:
 class TestFloatColumns:
     def test_pack_unpack_round_trip_bit_exact(self):
         packed = pack_f64(AWKWARD)
-        assert len(packed) == 8 * len(AWKWARD)
+        assert packed == struct.pack(f"<{len(AWKWARD)}d", *AWKWARD)
         back = unpack_f64(packed, len(AWKWARD))
         assert [struct.pack("<d", x) for x in back] == [
             struct.pack("<d", x) for x in AWKWARD
