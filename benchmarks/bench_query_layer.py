@@ -122,8 +122,8 @@ def measure_query_layer() -> QueryLayerPoint:
         assert spec_from_dict(spec_to_dict(spec)) == spec
     codec_us = (time.perf_counter() - t0) / len(specs) * 1e6
 
-    # Warm the merged view so both dispatch styles pay only dispatch.
-    router.view()
+    # Warm the merged result so both dispatch styles pay only dispatch.
+    router.result()
 
     # Per-request dispatch (every call re-enters handle + lock + router).
     t0 = time.perf_counter()

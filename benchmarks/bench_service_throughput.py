@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
@@ -104,7 +105,7 @@ def measure_service(
         router = QueryRouter(cube, window_quarters=4)
         m_coord = layers.m_coord
         t0 = time.perf_counter()
-        router.view()  # builds the merged CubeResult
+        router.result()  # builds the merged CubeResult
         refresh_ms = (time.perf_counter() - t0) * 1e3
 
         rng = random.Random(23)
@@ -113,11 +114,11 @@ def measure_service(
 
         t0 = time.perf_counter()
         for values in sample:
-            router.point(m_coord, values)
+            router.execute(Q.cell(m_coord, values))
         first_pass = time.perf_counter() - t0
         t0 = time.perf_counter()
         for values in sample:
-            router.point(m_coord, values)
+            router.execute(Q.cell(m_coord, values))
         second_pass = time.perf_counter() - t0
 
         distinct = len(set(sample))

@@ -40,7 +40,7 @@ from repro import (
     popular_path_cubing,
 )
 from repro.io import spec_from_dict, spec_to_dict
-from repro.query import Q, RegressionCubeView, execute, execute_batch
+from repro.query import Q, execute, execute_batch
 
 
 def step1_compress() -> None:
@@ -102,21 +102,18 @@ def step4_cube() -> None:
     print(pp.describe())
 
     # Query through the declarative API: build a plan with the Q builder,
-    # hand it to the one execution engine.  The same specs (as JSON) drive
-    # the HTTP service's POST /query endpoint.
-    view = RegressionCubeView(mo)
+    # hand it and the cubing result to the one execution engine.  The same
+    # specs (as JSON) drive the HTTP service's POST /query endpoint.
     o_coord = data.layers.o_coord
     top_spec = Q.top_slopes(o_coord, k=3)
     assert spec_from_dict(spec_to_dict(top_spec)) == top_spec  # JSON round trip
-    top = execute(view, top_spec).value
+    top = execute(mo, top_spec).value
     print("\ntop o-layer slopes (the analyst's watch list):")
     for values, isb in top:
         print(f"  cell {values}: slope={isb.slope:+.4f}")
 
-    # Batches share one view; per-spec results come back in order.
-    items = execute_batch(
-        view, Q.batch(Q.watch_list(), Q.observation_deck())
-    )
+    # Batches share one result; per-spec results come back in order.
+    items = execute_batch(mo, Q.batch(Q.watch_list(), Q.observation_deck()))
     watch, deck = (item.result.value for item in items)
     print(f"batched: {len(watch)} of {len(deck)} o-layer cells are exceptional")
 
@@ -273,8 +270,9 @@ def step8_concurrent_serving() -> None:
         # each answer is cached with the cube's seal-epoch vector and a
         # hit is served from a lock-free vector comparison.  Identical
         # concurrent misses collapse to one execution (single-flight).
+        deck = Q.observation_deck()
         clients = [
-            threading.Thread(target=router.observation_deck)
+            threading.Thread(target=router.execute, args=(deck,))
             for _ in range(8)
         ]
         for client in clients:

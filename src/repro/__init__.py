@@ -57,7 +57,6 @@ from repro.query import (
     ExceptionDriller,
     Q,
     QuerySpec,
-    RegressionCubeView,
     execute,
     execute_batch,
 )
@@ -172,7 +171,6 @@ __all__ = [
     "PowerGridSimulator",
     "StreamCubeEngine",
     # query
-    "RegressionCubeView",
     "ExceptionDriller",
     "DrillNode",
     "QuerySpec",

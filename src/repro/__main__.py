@@ -77,11 +77,10 @@ def demo() -> int:
     )
 
     # The declarative query API: one batch, one engine, typed results.
-    from repro.query import Q, RegressionCubeView, execute_batch
+    from repro.query import Q, execute_batch
 
-    view = RegressionCubeView(mo)
     items = execute_batch(
-        view,
+        mo,
         Q.batch(Q.watch_list(), Q.top_slopes(data.layers.o_coord, k=3)),
     )
     watch, top = (item.result.value for item in items)

@@ -1,13 +1,13 @@
-"""Query layer: declarative specs, one execution engine, OLAP views, drilling.
+"""Query layer: declarative specs, one execution engine, drilling.
 
+One query surface: build a plan with :data:`Q` and run it with
+``execute(result, spec)`` over any :class:`~repro.cubing.result.CubeResult`.
 ``repro.query.spec`` defines the frozen :class:`QuerySpec` plan objects and
 the fluent :data:`Q` builder; ``repro.query.exec`` is the single engine that
-turns a spec into a :class:`QueryResult`; ``repro.query.api`` keeps the
-method-per-operation facade as thin delegates; ``repro.query.drill`` holds
-the exception-guided drilling workflow.
+turns a spec into a :class:`QueryResult`; ``repro.query.drill`` holds the
+exception-guided drilling workflow built on that engine.
 """
 
-from repro.query.api import RegressionCubeView
 from repro.query.drill import DrillNode, ExceptionDriller
 from repro.query.exec import BatchItem, QueryResult, execute, execute_batch
 from repro.query.spec import (
@@ -28,7 +28,6 @@ from repro.query.spec import (
 )
 
 __all__ = [
-    "RegressionCubeView",
     "DrillNode",
     "ExceptionDriller",
     "QuerySpec",

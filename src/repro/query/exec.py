@@ -1,33 +1,34 @@
-"""The single query execution engine: ``execute(view, spec) -> QueryResult``.
+"""The single query execution engine: ``execute(result, spec) -> QueryResult``.
 
-Every surface — :class:`~repro.query.api.RegressionCubeView`'s methods, the
-cached :class:`~repro.service.router.QueryRouter`, and the HTTP service —
-funnels through :func:`execute`: the spec is resolved against the view's
-schema, dispatched to the one implementation of its operation, and the
-answer is wrapped in a typed :class:`QueryResult` envelope that knows its
-wire encoding.  :func:`execute_batch` runs many specs against one view and
-reports per-spec results *and* errors, so one bad plan never sinks a batch.
+The observation-deck operations of Sections 4.2-4.3 — point, slice, roll-up,
+drill-down, siblings, top slopes, the o-layer and its watch list — run
+directly over a :class:`~repro.cubing.result.CubeResult`.  Every surface
+(library callers, the cached :class:`~repro.service.router.QueryRouter`, the
+HTTP service) funnels through :func:`execute`: the spec is resolved against
+the result's schema, dispatched to the one implementation of its operation,
+and the answer is wrapped in a typed :class:`QueryResult` envelope that
+knows its wire encoding.  :func:`execute_batch` runs many specs against one
+result and reports per-spec results *and* errors, so one bad plan never
+sinks a batch.
 
-Operation implementations live here (moved out of the view facade).  Cuboid
-scans go through :func:`_cuboid_cells`, which serves from a *complete*
-materialized cuboid when the cubing result has one (m/o layers, popular-path
-cuboids, full materialization) and falls back to an exact Theorem 3.2
-roll-up of the m-layer otherwise.
+Cuboid scans go through :func:`_cuboid_cells`, which serves from a
+*complete* materialized cuboid when the cubing result has one (m/o layers,
+popular-path cuboids, full materialization) and falls back to an exact
+Theorem 3.2 roll-up of the m-layer otherwise; a point query on a cell that
+was not materialized is aggregated from the m-layer the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.cube.cell import roll_up_values
+from repro.cubing.result import CubeResult
 from repro.errors import QueryError, ReproError
 from repro.io import cells_to_payload, isb_to_dict
 from repro.query.spec import BatchQuery, QuerySpec, spec_from_dict
 from repro.regression.isb import ISB
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.query.api import RegressionCubeView
 
 __all__ = ["QueryResult", "BatchItem", "execute", "execute_batch"]
 
@@ -80,7 +81,7 @@ class BatchItem:
 # ----------------------------------------------------------------------
 # Operation implementations
 # ----------------------------------------------------------------------
-def _cuboid_cells(view: "RegressionCubeView", coord: Coord) -> Iterable[tuple[Values, ISB]]:
+def _cuboid_cells(result: CubeResult, coord: Coord) -> Iterable[tuple[Values, ISB]]:
     """The cells of one cuboid, from the cheapest exact source.
 
     A *complete* materialized cuboid (m/o layer, popular-path cuboid, full
@@ -88,83 +89,87 @@ def _cuboid_cells(view: "RegressionCubeView", coord: Coord) -> Iterable[tuple[Va
     cells only) and absent ones are re-aggregated from the m-layer, which is
     exact by Theorem 3.2.
     """
-    cuboid = view.result.complete_cuboid(coord)
+    cuboid = result.complete_cuboid(coord)
     if cuboid is not None:
         return cuboid.items()
-    return view.result.m_layer.roll_up(coord).items()
+    return result.m_layer.roll_up(coord).items()
 
 
-def _cell(view: "RegressionCubeView", spec: QuerySpec) -> ISB:
-    c = view.lattice.require(spec.coord)
+def _cell(result: CubeResult, spec: QuerySpec) -> ISB:
+    c = result.layers.lattice.require(spec.coord)
     vals = tuple(spec.values)
-    cuboid = view.result.cuboids.get(c)
+    cuboid = result.cuboids.get(c)
     if cuboid is not None:
         isb = cuboid.get(vals)
         if isb is not None:
             return isb
-    isb = view.result.m_layer.roll_up_cell(c, vals)
+    isb = result.m_layer.roll_up_cell(c, vals)
     if isb is None:
         raise QueryError(f"cell {vals} at {c} has no supporting data")
     return isb
 
 
-def _slice(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    c = view.lattice.require(spec.coord)
+def _slice(result: CubeResult, spec: QuerySpec) -> dict[Values, ISB]:
+    c = result.layers.lattice.require(spec.coord)
+    schema = result.layers.schema
     fixed_idx = {
-        view.schema.dim_index(name): value for name, value in (spec.fixed or ())
+        schema.dim_index(name): value for name, value in (spec.fixed or ())
     }
     return {
         values: isb
-        for values, isb in _cuboid_cells(view, c)
+        for values, isb in _cuboid_cells(result, c)
         if all(values[i] == v for i, v in fixed_idx.items())
     }
 
 
-def _roll_up(view: "RegressionCubeView", spec: QuerySpec) -> tuple[Coord, Values, ISB]:
-    c = view.lattice.require(spec.coord)
-    d = view.schema.dim_index(spec.dim)
-    if c[d] - 1 < view.layers.o_coord[d]:
+def _roll_up(result: CubeResult, spec: QuerySpec) -> tuple[Coord, Values, ISB]:
+    layers = result.layers
+    c = layers.lattice.require(spec.coord)
+    d = layers.schema.dim_index(spec.dim)
+    if c[d] - 1 < layers.o_coord[d]:
         raise QueryError(
             f"dimension {spec.dim!r} is already at the o-layer level in {c}"
         )
     parent_coord = c[:d] + (c[d] - 1,) + c[d + 1 :]
     parent_values = roll_up_values(
-        view.schema, tuple(spec.values), c, parent_coord
+        layers.schema, tuple(spec.values), c, parent_coord
     )
-    parent = _cell(view, spec._with(coord=parent_coord, values=parent_values))
+    parent = _cell(result, spec._with(coord=parent_coord, values=parent_values))
     return parent_coord, parent_values, parent
 
 
-def _drill_down(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    c = view.lattice.require(spec.coord)
+def _drill_down(result: CubeResult, spec: QuerySpec) -> dict[Values, ISB]:
+    layers = result.layers
+    c = layers.lattice.require(spec.coord)
     vals = tuple(spec.values)
-    d = view.schema.dim_index(spec.dim)
-    if c[d] + 1 > view.layers.m_coord[d]:
+    d = layers.schema.dim_index(spec.dim)
+    if c[d] + 1 > layers.m_coord[d]:
         raise QueryError(
             f"dimension {spec.dim!r} is already at the m-layer level in {c}"
         )
     child_coord = c[:d] + (c[d] + 1,) + c[d + 1 :]
     out: dict[Values, ISB] = {}
-    for child_values, isb in _cuboid_cells(view, child_coord):
-        if roll_up_values(view.schema, child_values, child_coord, c) == vals:
+    for child_values, isb in _cuboid_cells(result, child_coord):
+        if roll_up_values(layers.schema, child_values, child_coord, c) == vals:
             out[child_values] = isb
     return out
 
 
-def _siblings(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    c = view.lattice.require(spec.coord)
+def _siblings(result: CubeResult, spec: QuerySpec) -> dict[Values, ISB]:
+    schema = result.layers.schema
+    c = result.layers.lattice.require(spec.coord)
     vals = tuple(spec.values)
-    d = view.schema.dim_index(spec.dim)
+    d = schema.dim_index(spec.dim)
     level = c[d]
     if level == 0:
         raise QueryError(
             f"dimension {spec.dim!r} is '*' in cuboid {c}; a '*' value has "
             "no siblings"
         )
-    hier = view.schema.dimensions[d].hierarchy
+    hier = schema.dimensions[d].hierarchy
     parent = hier.parent(vals[d], level)
     out: dict[Values, ISB] = {}
-    for cell_values, isb in _cuboid_cells(view, c):
+    for cell_values, isb in _cuboid_cells(result, c):
         if cell_values == vals:
             continue
         if any(
@@ -177,9 +182,9 @@ def _siblings(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
     return out
 
 
-def _sibling_deviation(view: "RegressionCubeView", spec: QuerySpec) -> float:
-    cell_isb = _cell(view, spec)
-    brothers = _siblings(view, spec)
+def _sibling_deviation(result: CubeResult, spec: QuerySpec) -> float:
+    cell_isb = _cell(result, spec)
+    brothers = _siblings(result, spec)
     if not brothers:
         raise QueryError(
             f"cell {tuple(spec.values)} has no siblings along {spec.dim!r}"
@@ -188,23 +193,21 @@ def _sibling_deviation(view: "RegressionCubeView", spec: QuerySpec) -> float:
     return cell_isb.slope - mean_slope
 
 
-def _top_slopes(
-    view: "RegressionCubeView", spec: QuerySpec
-) -> list[tuple[Values, ISB]]:
-    c = view.lattice.require(spec.coord)
-    ranked = sorted(_cuboid_cells(view, c), key=lambda kv: -abs(kv[1].slope))
+def _top_slopes(result: CubeResult, spec: QuerySpec) -> list[tuple[Values, ISB]]:
+    c = result.layers.lattice.require(spec.coord)
+    ranked = sorted(_cuboid_cells(result, c), key=lambda kv: -abs(kv[1].slope))
     return ranked[: spec.k]
 
 
-def _observation_deck(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    return dict(view.result.o_layer.items())
+def _observation_deck(result: CubeResult, spec: QuerySpec) -> dict[Values, ISB]:
+    return dict(result.o_layer.items())
 
 
-def _watch_list(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    return view.result.o_layer_exceptions()
+def _watch_list(result: CubeResult, spec: QuerySpec) -> dict[Values, ISB]:
+    return result.o_layer_exceptions()
 
 
-_IMPLS: dict[str, Callable[["RegressionCubeView", QuerySpec], Any]] = {
+_IMPLS: dict[str, Callable[[CubeResult, QuerySpec], Any]] = {
     "cell": _cell,
     "slice": _slice,
     "roll_up": _roll_up,
@@ -263,17 +266,17 @@ _RESULT_ENCODERS: dict[str, Callable[[Any], dict[str, Any]]] = {
 # The engine
 # ----------------------------------------------------------------------
 def execute(
-    view: "RegressionCubeView",
+    result: CubeResult,
     spec: QuerySpec | Mapping[str, Any],
     *,
     pre_resolved: bool = False,
 ) -> QueryResult:
-    """Run one spec against a view; the sole dispatch point of the library.
+    """Run one spec against a result; the sole dispatch point of the library.
 
     Accepts a :class:`~repro.query.spec.QuerySpec` or its wire ``dict``
     form.  The spec is resolved (names to indices, schema validation) before
     dispatch, so every surface gets identical validation and identical
-    errors.  Callers that already resolved the spec against this view's
+    errors.  Callers that already resolved the spec against this result's
     schema (the router does, to build its cache key) pass
     ``pre_resolved=True`` to skip the second resolution.
     """
@@ -281,11 +284,11 @@ def execute(
         raise QueryError("a BatchQuery must go through execute_batch")
     if isinstance(spec, Mapping):
         spec = spec_from_dict(spec)
-    resolved = spec if pre_resolved else spec.resolve(view.schema)
+    resolved = spec if pre_resolved else spec.resolve(result.layers.schema)
     impl = _IMPLS.get(resolved.op)
     if impl is None:  # pragma: no cover - registry and impls move together
         raise QueryError(f"no executor registered for op {resolved.op!r}")
-    return QueryResult(resolved, impl(view, resolved))
+    return QueryResult(resolved, impl(result, resolved))
 
 
 def run_batch(
@@ -316,9 +319,9 @@ def run_batch(
 
 
 def execute_batch(
-    view: "RegressionCubeView",
+    result: CubeResult,
     batch: BatchQuery | Iterable[QuerySpec | Mapping[str, Any]],
 ) -> list[BatchItem]:
-    """Run many specs against one view, collecting per-spec outcomes."""
+    """Run many specs against one result, collecting per-spec outcomes."""
     entries = batch.specs if isinstance(batch, BatchQuery) else tuple(batch)
-    return run_batch(entries, lambda spec: execute(view, spec))
+    return run_batch(entries, lambda spec: execute(result, spec))

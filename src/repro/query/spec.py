@@ -1,15 +1,14 @@
 """Declarative query plans: the frozen ``QuerySpec`` family and ``Q`` builder.
 
-Every operation of :class:`~repro.query.api.RegressionCubeView` has exactly
-one plan object here — a frozen dataclass that normalizes its fields at
-construction, resolves dimension/level *names* to coordinates against a
+Every query operation has exactly one plan object here — a frozen dataclass
+that normalizes its fields at construction, resolves dimension/level *names* to coordinates against a
 :class:`~repro.cube.schema.CubeSchema`, carries a canonical
 :meth:`~QuerySpec.cache_key`, and round-trips through the JSON wire format
 (``decode(encode(spec)) == spec``).  Specs are *plans*, not answers: the
-single engine in :mod:`repro.query.exec` turns a spec into a
-:class:`~repro.query.exec.QueryResult`, and every surface (the Python view,
-the cached router, the HTTP service) speaks specs instead of per-operation
-argument lists.
+single engine in :mod:`repro.query.exec` turns a spec and a cubing result
+into a :class:`~repro.query.exec.QueryResult`, and every surface (library
+callers, the cached router, the HTTP service) speaks specs instead of
+per-operation argument lists.
 
 Build specs with the fluent :data:`Q` builder::
 
@@ -57,9 +56,6 @@ Coord = tuple[int | str, ...]
 
 #: op-name registry filled by ``QuerySpec.__init_subclass__``.
 _REGISTRY: dict[str, type["QuerySpec"]] = {}
-
-#: Legacy wire op names accepted on decode (the pre-spec HTTP dialect).
-_ALIASES = {"point": "cell"}
 
 #: Dataclass field -> wire key (identity unless listed).
 _WIRE_KEYS = {"window_quarters": "window"}
@@ -419,7 +415,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> QuerySpec:
     if not isinstance(payload, Mapping):
         raise QueryError(f"a query must be a JSON object, got {type(payload).__name__}")
     op = payload.get("op")
-    cls = _REGISTRY.get(_ALIASES.get(op, op))
+    cls = _REGISTRY.get(op)
     if cls is None:
         raise QueryError(
             f"unknown query op {op!r}; known ops: {sorted(_REGISTRY)}"

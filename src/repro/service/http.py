@@ -33,8 +33,7 @@ Endpoints
                    batch ``{"queries": [spec, ...]}`` executed against one
                    merged view refresh with per-spec results and errors.
                    ``exceptions`` / ``change_exceptions`` are cube-level
-                   ops served outside the spec engine.  The legacy op name
-                   ``point`` is accepted as an alias for ``cell``.
+                   ops served outside the spec engine.
 ``POST /subscribe``  register a continuous query: ``{"spec": {...}}`` or
                    ``{"watch": true}`` (o-layer exception alerts), with
                    ``every_seal: true`` / ``every_k_quarters: K`` and an
@@ -56,7 +55,9 @@ in-flight clients keep getting partial answers.
 The query path is a pure decode → execute → encode shim over
 :meth:`repro.service.router.QueryRouter.execute`; all validation lives in
 the specs, so the Python API and the wire raise identical errors.  Domain
-errors map to 400 with ``{"error", "type"}``; unknown routes to 404.
+errors map to 400 with ``{"error", "type"}``; unknown routes to 404.  A
+``Content-Length`` that is not a non-negative integer answers 400, and a
+body over :data:`MAX_BODY_BYTES` answers 413 without being read.
 
 Concurrency: requests are handled in parallel on a bounded thread pool
 (``--request-threads``).  Only the *mutators* — ingest, advance, and the
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -90,9 +92,13 @@ from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
 from repro.stream.records import StreamRecord
 
-__all__ = ["StreamCubeService", "make_server", "serve"]
+__all__ = ["MAX_BODY_BYTES", "StreamCubeService", "make_server", "serve"]
 
 Values = tuple[Hashable, ...]
+
+#: Largest request body the handler reads; a larger declared
+#: ``Content-Length`` is answered 413 and the body is never read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _values_of(payload: Any) -> Values:
@@ -445,12 +451,7 @@ class StreamCubeService:
             return {"op": op, "cells": cells_to_payload(cells)}
 
         # Everything else is a spec: decode -> execute -> encode.
-        body = self.router.execute(spec_from_dict(payload)).to_dict()
-        if op and op != body["op"]:
-            # A legacy alias (e.g. "point") was requested: echo it back so
-            # pre-spec clients that dispatch on the response op keep working.
-            body["op"] = op
-        return body
+        return self.router.execute(spec_from_dict(payload)).to_dict()
 
     # ------------------------------------------------------------------
     # Continuous queries (subscription push)
@@ -500,11 +501,16 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # keep the serving loop quiet; /stats carries the numbers
 
-    def _respond(self, status: int, body: dict[str, Any]) -> None:
+    def _respond(
+        self, status: int, body: dict[str, Any], close: bool = False
+    ) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # An unread or unframed body leaves the stream unusable.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -517,7 +523,30 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(status, body)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._respond(
+                400,
+                {
+                    "error": f"Content-Length must be a non-negative "
+                    f"integer, got {declared!r}",
+                    "type": "BadRequest",
+                },
+                close=True,
+            )
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._respond(
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds "
+                    f"{MAX_BODY_BYTES}",
+                    "type": "PayloadTooLarge",
+                },
+                close=True,
+            )
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")
@@ -546,6 +575,10 @@ class _PooledHTTPServer(ThreadingHTTPServer):
     ``request_threads`` requests run concurrently (cache hits in
     parallel, reads sharing shard read locks) and the rest queue at the
     accept backlog — backpressure instead of thread explosion.
+
+    Live connections are tracked so :meth:`server_close` can half-close
+    them: a keep-alive handler idling for its next request reads EOF and
+    exits, while a request already received still runs and answers.
     """
 
     def __init__(
@@ -558,14 +591,30 @@ class _PooledHTTPServer(ThreadingHTTPServer):
             max_workers=max(1, int(request_threads)),
             thread_name_prefix="repro-http",
         )
+        self._live: set[socket.socket] = set()
+        self._live_mu = threading.Lock()
         super().__init__(server_address, handler_class)
 
     def process_request(self, request: Any, client_address: Any) -> None:
+        with self._live_mu:
+            self._live.add(request)
         # ThreadingMixIn would start a fresh thread here; reuse the pool.
         self._pool.submit(self.process_request_thread, request, client_address)
 
+    def shutdown_request(self, request: Any) -> None:
+        with self._live_mu:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
     def server_close(self) -> None:
         super().server_close()
+        with self._live_mu:
+            live = list(self._live)
+        for conn in live:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
         # The drain: every submitted request finishes before close returns.
         self._pool.shutdown(wait=True)
 

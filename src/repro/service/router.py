@@ -1,12 +1,14 @@
-"""Query serving over a sharded cube: merged views plus an LRU result cache.
+"""Query serving over a sharded cube: merged results plus an LRU result cache.
 
 The router owns the read path, and it is deliberately small: it manages
-merged-view refreshes per analysis window, resolves each incoming
-:class:`~repro.query.spec.QuerySpec` (filling the default window), and
-memoizes the :class:`~repro.query.exec.QueryResult` in a bounded LRU keyed
-on ``spec.cache_key()`` — the canonical plan identity, so equivalent plans
+merged :class:`~repro.cubing.result.CubeResult` refreshes per analysis
+window, resolves each incoming :class:`~repro.query.spec.QuerySpec`
+(filling the default window), and memoizes the
+:class:`~repro.query.exec.QueryResult` in a bounded LRU keyed on
+``spec.cache_key()`` — the canonical plan identity, so equivalent plans
 built by any surface share one cache line.  Execution itself is the single
-engine in :mod:`repro.query.exec`.
+engine in :mod:`repro.query.exec`; ``router.execute(Q.cell(...))`` is the
+whole query interface.
 
 Concurrency: the router is safe for parallel callers and its hit path is
 completely lock-free on the cube.  Every cached entry is stored together
@@ -20,9 +22,6 @@ fleet health transitions.  Cache *misses* compute under the cube's read
 cut, and identical concurrent misses are collapsed to one execution
 (single-flight): followers wait for the leader's entry and re-validate
 instead of stampeding the engines.
-
-The per-operation methods (``point``, ``slice``, ...) remain as one-line
-spec builders for callers that prefer the method style.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from typing import Any, Hashable, Iterable, Mapping
 from repro.cube.schema import CubeSchema
 from repro.cubing.result import CubeResult
 from repro.errors import ServiceError
-from repro.query.api import RegressionCubeView
 from repro.query.exec import BatchItem, QueryResult, execute, run_batch
-from repro.query.spec import BatchQuery, Q, QuerySpec, spec_from_dict
+from repro.query.spec import BatchQuery, QuerySpec, spec_from_dict
 from repro.regression.isb import ISB
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.engine import Algorithm
@@ -106,9 +104,9 @@ class LRUCache:
             self._data.clear()
 
 
-#: Merged window views kept at once.  Each holds a whole refreshed
+#: Merged window results kept at once.  Each is a whole refreshed
 #: ``CubeResult`` (megabytes at thousands of cells) and any sealed window
-#: length may be asked for, so the views live in an LRU of this size.
+#: length may be asked for, so the results live in an LRU of this size.
 VIEW_CACHE_CAPACITY = 8
 
 
@@ -152,7 +150,7 @@ class QueryRouter:
         self.algorithm: Algorithm = algorithm
         self.cache = LRUCache(cache_size)
         self._mu = threading.Lock()
-        # window -> (epoch vector, view); a stale view is evicted on read.
+        # window -> (epoch vector, CubeResult); a stale one is evicted on read.
         self._views = LRUCache(VIEW_CACHE_CAPACITY)
         self._flights: dict[Any, _Flight] = {}
         self._view_flights: dict[int, _Flight] = {}
@@ -175,15 +173,15 @@ class QueryRouter:
     def schema(self) -> CubeSchema:
         return self.cube.layers.schema
 
-    def view(self, window_quarters: int | None = None) -> RegressionCubeView:
-        """The merged cube view for one window, refreshed at most once per
+    def result(self, window_quarters: int | None = None) -> CubeResult:
+        """The merged cube result for one window, refreshed at most once per
         (window, epoch vector)."""
         window = self._window(window_quarters)
         with self.cube.read_lock():
-            return self._view_locked(window)
+            return self._result_locked(window)
 
-    def _view_locked(self, window: int) -> RegressionCubeView:
-        """The memoized view for ``window`` at the *current* read cut.
+    def _result_locked(self, window: int) -> CubeResult:
+        """The memoized result for ``window`` at the *current* read cut.
 
         The caller holds the cube's read lock, which freezes the epoch
         vector fleet-wide (it can only move under every shard's write
@@ -204,11 +202,10 @@ class QueryRouter:
             if leader:
                 try:
                     result = self.cube.refresh(window, self.algorithm)
-                    view = RegressionCubeView(result)
                     with self._mu:
-                        self._views.put(window, (vector, view))
+                        self._views.put(window, (vector, result))
                         self.refreshes += 1
-                    return view
+                    return result
                 finally:
                     with self._mu:
                         self._view_flights.pop(window, None)
@@ -217,10 +214,6 @@ class QueryRouter:
                 # Waiting while holding the read cut is safe: the leader
                 # holds the same (shared) cut and needs no further locks.
                 flight.done.wait()
-
-    def result(self, window_quarters: int | None = None) -> CubeResult:
-        """The merged cube result behind :meth:`view`."""
-        return self.view(window_quarters).result
 
     def _window(self, window_quarters: int | None) -> int:
         return (
@@ -327,7 +320,7 @@ class QueryRouter:
             with self._mu:
                 self.specs_executed += 1
             return execute(
-                self._view_locked(window), resolved, pre_resolved=True
+                self._result_locked(window), resolved, pre_resolved=True
             )
 
         return self._single_flight_entry(key, compute)
@@ -338,8 +331,8 @@ class QueryRouter:
     ) -> list[BatchItem]:
         """Execute many specs, sharing refreshes and the result cache.
 
-        All specs of one window share a single merged-view refresh (the
-        per-window view is memoized per epoch).  Returns one
+        All specs of one window share a single merged refresh (the
+        per-window result is memoized per epoch).  Returns one
         :class:`BatchItem` per entry, in order; a domain error on one entry
         is recorded there and does not stop the rest.
         """
@@ -348,105 +341,7 @@ class QueryRouter:
         return run_batch(entries, self.execute)
 
     # ------------------------------------------------------------------
-    # Method-style wrappers (one-line spec builders)
-    # ------------------------------------------------------------------
-    def point(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        window_quarters: int | None = None,
-    ) -> ISB:
-        """One cell's regression (materialized or rolled up on the fly)."""
-        return self.execute(
-            Q.cell(tuple(coord), tuple(values), window=window_quarters)
-        ).value
-
-    def slice(
-        self,
-        coord: Iterable[int],
-        fixed: Mapping[str, Hashable],
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """Cells of one cuboid matching fixed dimension values."""
-        return self.execute(
-            Q.slice(tuple(coord), dict(fixed), window=window_quarters)
-        ).value
-
-    def roll_up(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> tuple[Coord, Values, ISB]:
-        """One roll-up step of a cell along a named dimension."""
-        return self.execute(
-            Q.roll_up(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def drill_down(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """One drill-down step: the children of a cell along ``dim``."""
-        return self.execute(
-            Q.drill_down(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def siblings(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """The cell's same-parent siblings along ``dim``."""
-        return self.execute(
-            Q.siblings(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def sibling_deviation(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> float:
-        """``slope(cell) - mean(slope(siblings))`` along ``dim``."""
-        return self.execute(
-            Q.sibling_deviation(
-                tuple(coord), tuple(values), dim, window=window_quarters
-            )
-        ).value
-
-    def top_slopes(
-        self,
-        coord: Iterable[int],
-        k: int = 5,
-        window_quarters: int | None = None,
-    ) -> list[tuple[Values, ISB]]:
-        """The ``k`` steepest cells of a cuboid."""
-        return self.execute(
-            Q.top_slopes(tuple(coord), k, window=window_quarters)
-        ).value
-
-    def observation_deck(
-        self, window_quarters: int | None = None
-    ) -> dict[Values, ISB]:
-        """All o-layer cells."""
-        return self.execute(Q.observation_deck(window=window_quarters)).value
-
-    def watch_list(
-        self, window_quarters: int | None = None
-    ) -> dict[Values, ISB]:
-        """The o-layer cells currently flagged exceptional."""
-        return self.execute(Q.watch_list(window=window_quarters)).value
-
-    # ------------------------------------------------------------------
-    # Cube-level queries (not view operations; cached by hand-built keys)
+    # Cube-level queries (not spec operations; cached by hand-built keys)
     # ------------------------------------------------------------------
     def exceptions(
         self, window_quarters: int | None = None

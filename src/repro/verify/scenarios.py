@@ -51,7 +51,6 @@ from repro import faults
 from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.io import isb_from_dict
-from repro.query.api import RegressionCubeView
 from repro.query.exec import execute
 from repro.query.spec import Q
 from repro.service.router import QueryRouter
@@ -135,7 +134,7 @@ class Check:
 
     ``windows`` — m-layer window regressions (plus engine==cube equality);
     ``cube`` — a full cubing refresh (cells, flags, retention closure);
-    ``queries`` — the declarative query layer through view and router;
+    ``queries`` — the declarative query layer through execute and router;
     ``changes`` — current-vs-previous change exceptions at both layers.
     """
 
@@ -686,7 +685,7 @@ class ScenarioRunner:
 
     # -- query layer ---------------------------------------------------
     def _check_queries(self, window: int) -> None:
-        view = RegressionCubeView(self.engine.refresh(window))
+        merged = self.engine.refresh(window)
         schema = self.layers.schema
         lattice = self.layers.lattice
         rng = self.rng
@@ -705,7 +704,7 @@ class ScenarioRunner:
 
         def check_one(spec, expected_fn) -> None:
             for result in (
-                execute(view, spec),
+                execute(merged, spec),
                 self.router.execute(spec),
                 self.router.execute(spec),  # second router hit: cached
             ):

@@ -1,28 +1,32 @@
-"""The execution engine: spec answers equal legacy answers and the oracle.
+"""The execution engine: ``execute(result, spec)`` against the oracle.
 
-The acceptance contract of the declarative API: every operation of
-:class:`RegressionCubeView` is expressible as a spec, ``execute(view, spec)``
-returns the same answer as the legacy method, specs round-trip through the
-JSON codec, and whole-cuboid scans serve from *complete* materialized
-cuboids (popular-path cuboids included) without changing answers.
+Every observation-deck operation is a spec run over a cubing result: point
+queries (materialized or rolled up on the fly from the m-layer), slices,
+roll-ups, drill-downs, top slopes, the o-layer and its watch list.  The
+answers must match a full materialization, specs round-trip through the
+JSON codec, whole-cuboid scans serve from *complete* materialized cuboids
+(popular-path cuboids included) without changing answers, and malformed
+plans fail with the documented error types.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cube.hierarchy import ALL
 from repro.cube.lattice import PopularPath
 from repro.cubing.full import full_materialization, intermediate_slopes
 from repro.cubing.mo_cubing import mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold, calibrate_threshold
 from repro.cubing.popular_path import popular_path_cubing
-from repro.errors import QueryError
+from repro.errors import HierarchyError, QueryError, SchemaError
 from repro.io import result_to_dict, spec_from_dict, spec_to_dict
-from repro.query import Q, RegressionCubeView, execute, execute_batch
+from repro.query import Q, execute, execute_batch
 from repro.regression.isb import ISB
 from repro.stream.generator import DatasetSpec, generate_dataset
 from tests.conftest import isb_close
@@ -35,74 +39,56 @@ def setup():
     tau = calibrate_threshold(intermediate_slopes(oracle), 0.1)
     policy = GlobalSlopeThreshold(tau)
     oracle = full_materialization(data.layers, data.cells, policy)
-    mo_view = RegressionCubeView(mo_cubing(data.layers, data.cells, policy))
-    pp_view = RegressionCubeView(
-        popular_path_cubing(data.layers, data.cells, policy)
-    )
-    return data, oracle, mo_view, pp_view
+    mo = mo_cubing(data.layers, data.cells, policy)
+    pp = popular_path_cubing(data.layers, data.cells, policy)
+    return data, oracle, mo, pp
+
+
+@pytest.fixture(params=["mo", "pp"])
+def each(setup, request):
+    """``(data, oracle, result)`` for the m/o and popular-path results."""
+    data, oracle, mo, pp = setup
+    return data, oracle, mo if request.param == "mo" else pp
 
 
 def sample_cells(oracle, coord, n=3):
     return list(oracle.cuboids[coord].cells)[:n]
 
 
-class TestEquivalenceWithLegacy:
-    """execute(view, spec) == the view method, for every operation."""
-
-    @pytest.mark.parametrize("which", ["mo", "pp"])
-    def test_all_ops_match_methods(self, setup, which):
-        data, oracle, mo_view, pp_view = setup
-        view = mo_view if which == "mo" else pp_view
-        m, o = data.layers.m_coord, data.layers.o_coord
-        mid = data.layers.intermediate_coords[0]
-        cell = next(iter(view.result.m_layer.cells))
-        dim0 = data.layers.schema.names[0]
-
-        pairs = [
-            (Q.cell(m, cell), view.cell(m, cell)),
-            (Q.slice(o, {dim0: 0}), view.slice(o, {dim0: 0})),
-            (Q.roll_up(m, cell, dim0), view.roll_up(m, cell, dim0)),
-            (
-                Q.drill_down(o, (0, 0), dim0),
-                view.drill_down(o, (0, 0), dim0),
-            ),
-            (Q.siblings(m, cell, dim0), view.siblings(m, cell, dim0)),
-            (Q.top_slopes(mid, k=4), view.top_slopes(mid, 4)),
-            (Q.observation_deck(), view.observation_deck()),
-            (Q.watch_list(), view.watch_list()),
-        ]
-        for spec, legacy in pairs:
-            assert execute(view, spec).value == legacy, spec.op
-            # ... and the spec survives the wire.
-            assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    def test_sibling_deviation_matches(self, setup):
-        data, oracle, view, _ = setup
-        m = data.layers.m_coord
-        dim0 = data.layers.schema.names[0]
-        for cell in sample_cells(oracle, m, n=20):
-            try:
-                legacy = view.sibling_deviation(m, cell, dim0)
-            except QueryError:
-                continue
-            got = execute(view, Q.sibling_deviation(m, cell, dim0)).value
-            assert math.isclose(got, legacy, rel_tol=1e-12)
-            return
-        pytest.skip("no cell with siblings in the sample")
-
-
 class TestEquivalenceWithOracle:
-    def test_cell_sweep_every_cuboid(self, setup):
-        data, oracle, mo_view, pp_view = setup
+    def test_cell_sweep_every_cuboid(self, each):
+        data, oracle, result = each
         for coord in data.layers.lattice.coords():
             for values in sample_cells(oracle, coord):
-                expected = oracle.cuboids[coord][values]
-                for view in (mo_view, pp_view):
-                    got = execute(view, Q.cell(coord, values)).value
-                    assert isb_close(got, expected, tol=1e-7)
+                spec = Q.cell(coord, values)
+                got = execute(result, spec).value
+                assert isb_close(got, oracle.cuboids[coord][values], tol=1e-7)
+                # ... and the spec survives the wire.
+                assert spec_from_dict(spec_to_dict(spec)) == spec
 
-    def test_slice_sweep_every_cuboid(self, setup):
-        data, oracle, mo_view, pp_view = setup
+    def test_unmaterialized_cell_rolled_up_on_the_fly(self, setup):
+        data, oracle, result, _ = setup
+        # A non-exception intermediate cell is absent from the m/o result
+        # but recoverable by rolling up the m-layer (Theorem 3.2).
+        for coord in data.layers.intermediate_coords:
+            for values, isb in oracle.cuboids[coord].items():
+                if values not in result.cuboids[coord]:
+                    got = execute(result, Q.cell(coord, values)).value
+                    assert isb_close(got, isb, tol=1e-7)
+                    return
+        pytest.skip("every intermediate cell was exceptional")
+
+    def test_cell_addressed_by_level_names(self, each):
+        data, oracle, result = each
+        o = data.layers.o_coord
+        names = data.layers.schema.describe_coord(o)
+        for values, isb in oracle.o_layer.items():
+            got = execute(result, Q.cell(names, values))
+            assert got.spec.coord == o
+            assert isb_close(got.value, isb, tol=1e-7)
+
+    def test_slice_sweep_every_cuboid(self, each):
+        data, oracle, result = each
         dim0 = data.layers.schema.names[0]
         for coord in data.layers.lattice.coords():
             anchor = next(iter(oracle.cuboids[coord].cells))
@@ -111,44 +97,167 @@ class TestEquivalenceWithOracle:
                 for v, isb in oracle.cuboids[coord].items()
                 if v[0] == anchor[0]
             }
-            for view in (mo_view, pp_view):
-                got = execute(view, Q.slice(coord, {dim0: anchor[0]})).value
-                assert set(got) == set(expected)
-                for v, isb in got.items():
-                    assert isb_close(isb, expected[v], tol=1e-7)
+            got = execute(result, Q.slice(coord, {dim0: anchor[0]})).value
+            assert set(got) == set(expected)
+            for v, isb in got.items():
+                assert isb_close(isb, expected[v], tol=1e-7)
 
-    def test_top_slopes_sweep_every_cuboid(self, setup):
-        data, oracle, mo_view, pp_view = setup
+    def test_top_slopes_sweep_every_cuboid(self, each):
+        data, oracle, result = each
         for coord in data.layers.lattice.coords():
             steepest = max(
                 abs(isb.slope) for isb in oracle.cuboids[coord].cells.values()
             )
-            for view in (mo_view, pp_view):
-                ranked = execute(view, Q.top_slopes(coord, k=3)).value
-                slopes = [abs(isb.slope) for _, isb in ranked]
-                assert slopes == sorted(slopes, reverse=True)
-                assert math.isclose(slopes[0], steepest, rel_tol=1e-7)
+            ranked = execute(result, Q.top_slopes(coord, k=3)).value
+            slopes = [abs(isb.slope) for _, isb in ranked]
+            assert len(ranked) <= 3
+            assert slopes == sorted(slopes, reverse=True)
+            assert math.isclose(slopes[0], steepest, rel_tol=1e-7)
+
+    def test_roll_up_step(self, each):
+        data, oracle, result = each
+        m = data.layers.m_coord
+        dim0 = data.layers.schema.names[0]
+        for values in sample_cells(oracle, m):
+            coord, parent, isb = execute(result, Q.roll_up(m, values, dim0)).value
+            assert coord == (m[0] - 1,) + m[1:]
+            assert isb_close(isb, oracle.cuboids[coord][parent], tol=1e-7)
+
+    def test_drill_down_children_partition_parent(self, each):
+        data, oracle, result = each
+        o = data.layers.o_coord
+        dim0 = data.layers.schema.names[0]
+        child = (o[0] + 1,) + o[1:]
+        for values, isb in oracle.o_layer.items():
+            children = execute(result, Q.drill_down(o, values, dim0)).value
+            assert all(v[1:] == values[1:] for v in children)
+            for v, got in children.items():
+                assert isb_close(got, oracle.cuboids[child][v], tol=1e-7)
+            if children:
+                base = math.fsum(c.base for c in children.values())
+                slope = math.fsum(c.slope for c in children.values())
+                assert math.isclose(base, isb.base, rel_tol=1e-6)
+                assert math.isclose(slope, isb.slope, rel_tol=1e-6, abs_tol=1e-9)
+
+    def test_sibling_deviation_matches_oracle(self, each):
+        data, oracle, result = each
+        m = data.layers.m_coord
+        dim0 = data.layers.schema.names[0]
+        for cell in sample_cells(oracle, m, n=20):
+            siblings = execute(result, Q.siblings(m, cell, dim0)).value
+            if not siblings:
+                continue
+            got = execute(result, Q.sibling_deviation(m, cell, dim0)).value
+            mean = sum(oracle.m_layer[v].slope for v in siblings) / len(siblings)
+            expected = oracle.m_layer[cell].slope - mean
+            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
+            return
+        pytest.skip("no cell with siblings in the sample")
+
+    def test_observation_deck_and_watch_list(self, each):
+        data, oracle, result = each
+        o = data.layers.o_coord
+        deck = execute(result, Q.observation_deck()).value
+        watch = execute(result, Q.watch_list()).value
+        assert set(deck) == set(oracle.o_layer.cells)
+        assert watch == {
+            v: isb
+            for v, isb in deck.items()
+            if result.policy.is_exception(isb, o)
+        }
 
     @settings(max_examples=40, deadline=None)
     @given(data_=st.data())
-    def test_property_cell_matches_oracle_and_legacy(self, setup, data_):
-        data, oracle, mo_view, pp_view = setup
+    def test_property_cell_matches_oracle(self, setup, data_):
+        data, oracle, mo, pp = setup
         coord = data_.draw(
             st.sampled_from(sorted(data.layers.lattice.coords()))
         )
         values = data_.draw(
             st.sampled_from(sorted(oracle.cuboids[coord].cells))
         )
-        view = data_.draw(st.sampled_from([mo_view, pp_view]))
+        result = data_.draw(st.sampled_from([mo, pp]))
         spec = Q.cell(coord, values)
-        got = execute(view, spec).value
-        assert got == view.cell(coord, values)
+        got = execute(result, spec).value
         assert isb_close(got, oracle.cuboids[coord][values], tol=1e-7)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+def _empty_m_key(data, oracle):
+    """A valid m-layer key with no supporting data."""
+    m = data.layers.m_coord
+    card = data.layers.schema.hierarchy(0).cardinality(m[0])
+    for key in itertools.product(range(card), repeat=2):
+        if key not in oracle.m_layer:
+            return key
+    pytest.skip("dataset saturates the m-layer key space")
+
+
+def _any_o_cell(oracle):
+    return next(iter(oracle.o_layer.cells))
+
+
+def _any_m_cell(oracle):
+    return next(iter(oracle.m_layer.cells))
+
+
+#: (what is wrong, spec factory over (data, oracle), expected error).
+ERROR_CASES = [
+    (
+        "cell without data",
+        lambda d, o: Q.cell(d.layers.m_coord, _empty_m_key(d, o)),
+        QueryError,
+    ),
+    (
+        "values outside the hierarchy",
+        lambda d, o: Q.cell(d.layers.o_coord, (99, 99)),
+        HierarchyError,
+    ),
+    (
+        "cuboid above the o-layer",
+        lambda d, o: Q.cell((0, 0), (ALL, ALL)),
+        SchemaError,
+    ),
+    (
+        "unknown level name",
+        lambda d, o: Q.cell(("not_a_level", "d11"), (0, 0)),
+        HierarchyError,
+    ),
+    (
+        "roll-up past the o-layer",
+        lambda d, o: Q.roll_up(d.layers.o_coord, _any_o_cell(o), "d0"),
+        QueryError,
+    ),
+    (
+        "drill-down past the m-layer",
+        lambda d, o: Q.drill_down(d.layers.m_coord, _any_m_cell(o), "d0"),
+        QueryError,
+    ),
+    (
+        "unknown dimension",
+        lambda d, o: Q.siblings(d.layers.m_coord, _any_m_cell(o), "nope"),
+        SchemaError,
+    ),
+    ("top_slopes k=0", lambda d, o: Q.top_slopes(d.layers.o_coord, k=0), QueryError),
+    ("top_slopes k<0", lambda d, o: Q.top_slopes(d.layers.o_coord, k=-3), QueryError),
+    ("unknown op", lambda d, o: {"op": "magic"}, QueryError),
+    ("a batch", lambda d, o: Q.batch(Q.watch_list()), QueryError),
+]
+
+
+@pytest.mark.parametrize(
+    "make_spec, error",
+    [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES],
+)
+def test_malformed_plans_raise(setup, make_spec, error):
+    data, oracle, mo, _ = setup
+    with pytest.raises(error):
+        execute(mo, make_spec(data, oracle))
+
+
 class TestCompleteCuboidServing:
-    """Satellite: whole-cuboid scans use materialized *complete* cuboids."""
+    """Whole-cuboid scans use materialized *complete* cuboids."""
 
     @pytest.fixture
     def poisoned(self):
@@ -170,56 +279,42 @@ class TestCompleteCuboidServing:
 
     def test_slice_serves_from_complete_cuboid(self, poisoned):
         result, mid, key, sentinel = poisoned
-        view = RegressionCubeView(result)
-        assert view.slice(mid, {})[key] == sentinel
+        assert execute(result, Q.slice(mid, {})).value[key] == sentinel
 
     def test_top_slopes_serves_from_complete_cuboid(self, poisoned):
         result, mid, key, sentinel = poisoned
-        view = RegressionCubeView(result)
-        assert view.top_slopes(mid, k=1) == [(key, sentinel)]
+        assert execute(result, Q.top_slopes(mid, k=1)).value == [(key, sentinel)]
 
     def test_partial_cuboids_fall_back_to_m_layer(self, poisoned):
         result, mid, key, sentinel = poisoned
         result.complete_coords = frozenset()  # demote: nothing complete
-        view = RegressionCubeView(result)
-        assert view.slice(mid, {})[key] != sentinel
-        assert view.top_slopes(mid, k=1)[0][1] != sentinel
+        assert execute(result, Q.slice(mid, {})).value[key] != sentinel
+        assert execute(result, Q.top_slopes(mid, k=1)).value[0][1] != sentinel
 
     def test_popular_path_marks_exactly_the_path(self, setup):
-        data, _, _, pp_view = setup
+        data, _, _, pp = setup
         path = PopularPath.default(data.layers.lattice)
-        result = pp_view.result
         for coord in data.layers.lattice.coords():
-            assert result.is_complete(coord) == (
+            assert pp.is_complete(coord) == (
                 coord in path.coords
                 or coord in (data.layers.m_coord, data.layers.o_coord)
             )
 
 
 class TestTopSlopesRobustness:
-    """Satellite: empty cuboids yield [], bad k raises QueryError."""
-
     def test_empty_cube(self):
         layers = DatasetSpec(2, 2, 3, 1).build_layers()
         result = mo_cubing(layers, {}, GlobalSlopeThreshold(0.1))
-        view = RegressionCubeView(result)
-        assert view.top_slopes(layers.o_coord, k=5) == []
-        assert view.top_slopes(layers.intermediate_coords[0], k=5) == []
-
-    def test_bad_k_raises_instead_of_empty_list(self, setup):
-        data, _, view, _ = setup
-        with pytest.raises(QueryError):
-            view.top_slopes(data.layers.o_coord, k=0)
-        with pytest.raises(QueryError):
-            view.top_slopes(data.layers.o_coord, k=-3)
+        for coord in (layers.o_coord, layers.intermediate_coords[0]):
+            assert execute(result, Q.top_slopes(coord, k=5)).value == []
 
 
 class TestBatchesAndEnvelopes:
     def test_batch_reports_results_and_errors_in_order(self, setup):
-        data, _, view, _ = setup
+        data, _, mo, _ = setup
         o = data.layers.o_coord
         items = execute_batch(
-            view,
+            mo,
             Q.batch(
                 Q.watch_list(),
                 Q.cell((9, 9), (0, 0)),  # invalid: out of schema range
@@ -227,42 +322,35 @@ class TestBatchesAndEnvelopes:
             ),
         )
         assert [item.ok for item in items] == [True, False, True]
-        assert items[0].result.value == view.watch_list()
+        assert items[0].result.value == mo.o_layer_exceptions()
         assert items[1].error_type == "SchemaError"
         assert items[1].error
-        assert items[2].result.value == view.top_slopes(o, 2)
+        assert items[2].result.value == execute(mo, Q.top_slopes(o, 2)).value
 
     def test_batch_accepts_wire_dicts(self, setup):
-        data, _, view, _ = setup
-        items = execute_batch(
-            view, [{"op": "watch_list"}, {"op": "magic"}]
-        )
+        _, _, mo, _ = setup
+        items = execute_batch(mo, [{"op": "watch_list"}, {"op": "magic"}])
         assert items[0].ok and not items[1].ok
         assert items[1].error_type == "QueryError"
 
     def test_execute_accepts_wire_dict(self, setup):
-        data, _, view, _ = setup
-        got = execute(view, {"op": "observation_deck"}).value
-        assert got == view.observation_deck()
-
-    def test_execute_rejects_batchquery(self, setup):
-        _, _, view, _ = setup
-        with pytest.raises(QueryError):
-            execute(view, Q.batch(Q.watch_list()))
+        _, _, mo, _ = setup
+        got = execute(mo, {"op": "observation_deck"}).value
+        assert got == execute(mo, Q.observation_deck()).value
 
     def test_result_envelope_shapes(self, setup):
-        data, _, view, _ = setup
+        data, _, mo, _ = setup
         m, o = data.layers.m_coord, data.layers.o_coord
-        cell = next(iter(view.result.m_layer.cells))
+        cell = next(iter(mo.m_layer.cells))
         dim0 = data.layers.schema.names[0]
-        payload = result_to_dict(execute(view, Q.cell(m, cell)))
+        payload = result_to_dict(execute(mo, Q.cell(m, cell)))
         assert payload["op"] == "cell" and set(payload["isb"]) == {
             "t_b", "t_e", "base", "slope",
         }
-        payload = result_to_dict(execute(view, Q.roll_up(m, cell, dim0)))
+        payload = result_to_dict(execute(mo, Q.roll_up(m, cell, dim0)))
         assert set(payload) == {"op", "coord", "values", "isb"}
-        payload = result_to_dict(execute(view, Q.top_slopes(o, k=2)))
+        payload = result_to_dict(execute(mo, Q.top_slopes(o, k=2)))
         assert payload["op"] == "top_slopes"
         assert all(set(row) == {"values", "isb"} for row in payload["cells"])
-        payload = result_to_dict(execute(view, Q.watch_list()))
+        payload = result_to_dict(execute(mo, Q.watch_list()))
         assert isinstance(payload["cells"], list)

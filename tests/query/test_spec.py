@@ -8,7 +8,6 @@ from repro.errors import HierarchyError, QueryError, SchemaError
 from repro.io import batch_from_dict, batch_to_dict, spec_from_dict, spec_to_dict
 from repro.query.spec import (
     BatchQuery,
-    CellSpec,
     Q,
     QuerySpec,
     SliceSpec,
@@ -155,12 +154,9 @@ class TestCodec:
         }
         assert spec_from_dict(payload) == spec
 
-    def test_legacy_point_alias(self):
-        decoded = spec_from_dict(
-            {"op": "point", "coord": [1, 1], "values": [0, 0]}
-        )
-        assert isinstance(decoded, CellSpec)
-        assert decoded == Q.cell((1, 1), (0, 0))
+    def test_retired_point_alias_rejected(self):
+        with pytest.raises(QueryError, match="unknown query op 'point'"):
+            spec_from_dict({"op": "point", "coord": [1, 1], "values": [0, 0]})
 
     def test_unknown_op_rejected(self):
         with pytest.raises(QueryError):

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.io import cells_from_payload, isb_from_dict
-from repro.service.http import StreamCubeService, make_server
+from repro.query import Q
+from repro.service.http import MAX_BODY_BYTES, StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.storage import StorageConfig
@@ -51,20 +56,20 @@ class TestDispatch:
 
     def test_stats(self, loaded):
         loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
         )
         status, body = loaded.handle("GET", "/stats")
         assert status == 200
         assert body["router"]["cache_misses"] >= 1
         assert len(body["shard_cells"]) == 2
 
-    def test_point_round_trips_isb(self, loaded):
+    def test_cell_round_trips_isb(self, loaded):
         status, body = loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
         )
         assert status == 200
         isb = isb_from_dict(body["isb"])
-        assert isb == loaded.router.point((1, 1), (0, 0))
+        assert isb == loaded.router.execute(Q.cell((1, 1), (0, 0))).value
 
     def test_slice_and_exceptions(self, loaded):
         status, body = loaded.handle(
@@ -74,7 +79,7 @@ class TestDispatch:
         )
         assert status == 200
         cells = cells_from_payload(body["cells"])
-        assert cells == loaded.router.slice((1, 1), {"d0": 0})
+        assert cells == loaded.router.execute(Q.slice((1, 1), {"d0": 0})).value
 
         status, body = loaded.handle("POST", "/query", {"op": "exceptions"})
         assert status == 200
@@ -92,7 +97,7 @@ class TestDispatch:
 
     def test_domain_error_maps_to_400(self, loaded):
         status, body = loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [9, 9], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [9, 9], "values": [0, 0]}
         )
         assert status == 400
         assert "error" in body and body["type"]
@@ -107,8 +112,8 @@ class TestDispatch:
         """Missing or mistyped /query fields are a client error, never an
         unanswered (dropped) request."""
         for payload in (
-            {"op": "point"},  # missing coord/values
-            {"op": "point", "coord": [1, 1], "values": [0, 0], "window": "x"},
+            {"op": "cell"},  # missing coord/values
+            {"op": "cell", "coord": [1, 1], "values": [0, 0], "window": "x"},
             {"op": "top_slopes", "coord": [1, 1], "k": "many"},
             {"op": "roll_up", "coord": [1, 1], "values": [0, 0]},  # no dim
         ):
@@ -143,7 +148,9 @@ class TestBatchQueries:
         assert body["count"] == 3
         watch, top, bad = body["results"]
         assert watch["ok"] is True
-        assert cells_from_payload(watch["cells"]) == loaded.router.watch_list()
+        assert cells_from_payload(watch["cells"]) == (
+            loaded.router.execute(Q.watch_list()).value
+        )
         assert top["ok"] is True
         assert len(top["cells"]) <= 3
         assert bad["ok"] is False
@@ -193,17 +200,13 @@ class TestBatchQueries:
         assert status == 400
         assert body["type"] == "ServiceError"
 
-    def test_legacy_point_alias_matches_cell(self, loaded):
-        _, old = loaded.handle(
+    def test_retired_point_alias_rejected(self, loaded):
+        status, body = loaded.handle(
             "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
         )
-        _, new = loaded.handle(
-            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
-        )
-        # Same answer; the legacy op name is echoed back to legacy clients.
-        assert old["isb"] == new["isb"]
-        assert old["op"] == "point"
-        assert new["op"] == "cell"
+        assert status == 400
+        assert body["type"] == "QueryError"
+        assert "unknown query op 'point'" in body["error"]
 
 
 @pytest.fixture
@@ -497,15 +500,15 @@ class TestLiveServer:
             assert post("/advance", {"t": 6 * TPQ})["current_quarter"] == 6
 
             body = post(
-                "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+                "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
             )
-            assert isb_from_dict(body["isb"]) == service.router.point(
-                (1, 1), (0, 0)
+            assert isb_from_dict(body["isb"]) == (
+                service.router.execute(Q.cell((1, 1), (0, 0))).value
             )
 
             body = post("/query", {"op": "watch_list"})
             assert cells_from_payload(body["cells"]) == (
-                service.router.watch_list()
+                service.router.execute(Q.watch_list()).value
             )
 
             with urllib.request.urlopen(base + "/health") as response:
@@ -543,3 +546,147 @@ class TestLiveServer:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+@pytest.fixture
+def live(service):
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _raw_post(port, content_length, body=b""):
+    """POST /query with a hand-written Content-Length header."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: "
+            + content_length + b"\r\n\r\n" + body
+        )
+        response = http.client.HTTPResponse(sock)
+        try:
+            response.begin()
+            return response.status, json.loads(response.read())
+        finally:
+            # Release the socket's file view too, or the close is deferred
+            # and a server still reading the body never sees EOF.
+            response.close()
+
+
+class TestRequestBodyLimits:
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"1.5", b""])
+    def test_bad_content_length_is_400(self, live, declared):
+        status, body = _raw_post(live.server_address[1], declared)
+        assert status == 400
+        assert body["type"] == "BadRequest"
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_unread(self, live, service):
+        # Only the header is sent: the answer must not wait for the body.
+        declared = str(MAX_BODY_BYTES + 1).encode()
+        status, body = _raw_post(live.server_address[1], declared)
+        assert status == 413
+        assert body["type"] == "PayloadTooLarge"
+        assert service.router.stats()["specs_executed"] == 0
+
+    def test_declared_body_is_read(self, live):
+        payload = json.dumps({"op": "magic"}).encode()
+        status, body = _raw_post(
+            live.server_address[1], str(len(payload)).encode(), payload
+        )
+        assert status == 400 and body["type"] == "QueryError"
+
+
+class TestGracefulDrain:
+    def test_close_returns_despite_idle_keep_alive(self, service):
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            # The connection now idles in keep-alive, its handler parked
+            # on the next request line.
+            server.shutdown()
+            thread.join(timeout=5)
+            closer = threading.Thread(target=server.server_close, daemon=True)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive(), "server_close hung on an idle socket"
+        finally:
+            conn.close()
+
+    def test_connection_tracking_under_concurrent_clients(self, live):
+        # More client threads than cores and request threads, each on
+        # fresh connections: every tracked socket must be released.
+        port = live.server_address[1]
+        errors = []
+
+        def client():
+            try:
+                for _ in range(5):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", port, timeout=10
+                    )
+                    conn.request("GET", "/health")
+                    response = conn.getresponse()
+                    response.read()
+                    conn.close()
+                    assert response.status == 200
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(16)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        deadline = time.monotonic() + 5
+        while live._live and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not live._live
+
+    def test_in_flight_request_still_answers(self, loaded):
+        server = make_server(loaded, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        sub_id = loaded.subscriptions.subscribe_payload({"watch": True})
+        assert loaded.subscriptions.flush(10.0)
+        seen = loaded.subscriptions.poll(sub_id, 0, 0.0)["updates"]
+        since = max((update["seq"] for update in seen), default=0)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            # A long-poll that is mid-flight when the drain starts.
+            conn.request(
+                "GET",
+                f"/updates?subscription={sub_id}&since={since}&timeout=1",
+            )
+            time.sleep(0.2)
+            server.shutdown()
+            thread.join(timeout=5)
+            closer = threading.Thread(target=server.server_close, daemon=True)
+            closer.start()
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["updates"] == []
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+        finally:
+            conn.close()

@@ -68,9 +68,9 @@ class TestSameEnvelopeOnBothSurfaces:
         "case,spec", ERROR_SPECS, ids=[case for case, _ in ERROR_SPECS]
     )
     def test_python_and_http_raise_identically(self, service, case, spec):
-        view = service.router.view()
+        merged = service.router.result()
         with pytest.raises(ReproError) as excinfo:
-            execute(view, spec)
+            execute(merged, spec)
         exc = excinfo.value
 
         status, body = service.handle("POST", "/query", spec.to_dict())
@@ -82,9 +82,9 @@ class TestSameEnvelopeOnBothSurfaces:
         "case,spec", ERROR_SPECS, ids=[case for case, _ in ERROR_SPECS]
     )
     def test_batch_entry_carries_the_same_envelope(self, service, case, spec):
-        view = service.router.view()
+        merged = service.router.result()
         with pytest.raises(ReproError) as excinfo:
-            execute(view, spec)
+            execute(merged, spec)
         exc = excinfo.value
 
         status, body = service.handle(
@@ -116,7 +116,7 @@ class TestExpectedTypes:
     """Pin the exception classes so envelopes stay stable for clients."""
 
     def test_types(self, service):
-        view = service.router.view()
+        merged = service.router.result()
         expectations = {
             "coord-out-of-schema": SchemaError,
             "coord-outside-lattice": SchemaError,
@@ -130,4 +130,4 @@ class TestExpectedTypes:
         by_case = dict(ERROR_SPECS)
         for case, exc_type in expectations.items():
             with pytest.raises(exc_type):
-                execute(view, by_case[case])
+                execute(merged, by_case[case])

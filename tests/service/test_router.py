@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
-from repro.query.api import RegressionCubeView
+from repro.query.exec import execute
 from repro.query.spec import Q
 from repro.service.router import (
     VIEW_CACHE_CAPACITY,
@@ -33,6 +33,14 @@ def cube(layers, policy):
 @pytest.fixture
 def router(cube):
     return QueryRouter(cube, window_quarters=4)
+
+
+def ask(router, spec):
+    return router.execute(spec).value
+
+
+def uncached(cube, spec, window=4):
+    return execute(cube.refresh(window), spec).value
 
 
 class TestLRUCache:
@@ -81,39 +89,41 @@ class TestLRUCache:
 
 
 class TestRouterQueries:
-    def test_point_matches_uncached_view(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
+    def test_point_matches_uncached(self, cube, router):
         some_cell = next(iter(cube.m_cells(4)))
-        assert router.point((2, 2), some_cell) == view.cell((2, 2), some_cell)
+        spec = Q.cell((2, 2), some_cell)
+        assert ask(router, spec) == uncached(cube, spec)
         # Intermediate, non-materialized cuboid rolls up on the fly.
-        mid = (some_cell[0] // 3, some_cell[1])
-        assert router.point((1, 2), mid) == view.cell((1, 2), mid)
+        spec = Q.cell((1, 2), (some_cell[0] // 3, some_cell[1]))
+        assert ask(router, spec) == uncached(cube, spec)
 
     def test_second_query_is_a_cache_hit(self, router):
-        router.point((1, 1), (0, 0))
+        ask(router, Q.cell((1, 1), (0, 0)))
         before = router.cache.hits
-        router.point((1, 1), (0, 0))
+        ask(router, Q.cell((1, 1), (0, 0)))
         assert router.cache.hits == before + 1
 
     def test_slice_and_top_slopes(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        assert router.slice((1, 1), {"d0": 0}) == view.slice((1, 1), {"d0": 0})
-        assert router.top_slopes((1, 1), 3) == view.top_slopes((1, 1), 3)
+        for spec in (Q.slice((1, 1), {"d0": 0}), Q.top_slopes((1, 1), 3)):
+            assert ask(router, spec) == uncached(cube, spec)
 
     def test_roll_up_and_drill_down(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
         some_cell = next(iter(cube.m_cells(4)))
-        assert router.roll_up((2, 2), some_cell, "d0") == view.roll_up(
-            (2, 2), some_cell, "d0"
-        )
-        assert router.drill_down((1, 1), (0, 0), "d0") == view.drill_down(
-            (1, 1), (0, 0), "d0"
-        )
+        for spec in (
+            Q.roll_up((2, 2), some_cell, "d0"),
+            Q.drill_down((1, 1), (0, 0), "d0"),
+        ):
+            assert ask(router, spec) == uncached(cube, spec)
+
+    def test_siblings_and_deck(self, cube, router):
+        some_cell = next(iter(cube.m_cells(4)))
+        for spec in (Q.siblings((2, 2), some_cell, "d0"), Q.observation_deck()):
+            assert ask(router, spec) == uncached(cube, spec)
 
     def test_exceptions_include_o_layer(self, cube, router):
         out = router.exceptions()
         assert cube.layers.o_coord in out
-        assert out[cube.layers.o_coord] == router.watch_list()
+        assert out[cube.layers.o_coord] == ask(router, Q.watch_list())
 
     def test_change_exceptions_layers(self, cube, router):
         assert router.change_exceptions(1, "m") == cube.change_exceptions(1)
@@ -124,16 +134,16 @@ class TestRouterQueries:
             router.change_exceptions(1, "x")
 
     def test_window_override(self, cube, router):
-        wide = router.point((1, 1), (0, 0), window_quarters=6)
-        narrow = router.point((1, 1), (0, 0), window_quarters=2)
+        wide = ask(router, Q.cell((1, 1), (0, 0), window=6))
+        narrow = ask(router, Q.cell((1, 1), (0, 0), window=2))
         assert wide.interval != narrow.interval
 
     def test_refresh_happens_once_per_window(self, router):
-        router.point((1, 1), (0, 0))
-        router.slice((1, 1), {"d0": 0})
-        router.watch_list()
+        ask(router, Q.cell((1, 1), (0, 0)))
+        ask(router, Q.slice((1, 1), {"d0": 0}))
+        ask(router, Q.watch_list())
         assert router.refreshes == 1
-        router.point((1, 1), (0, 0), window_quarters=2)
+        ask(router, Q.cell((1, 1), (0, 0), window=2))
         assert router.refreshes == 2
 
     def test_views_stay_bounded_across_windows(self, layers, policy):
@@ -149,17 +159,20 @@ class TestRouterQueries:
             cube.advance_to(4 * hours * TPQ)
             router = QueryRouter(cube)
             expected = {
-                w: RegressionCubeView(cube.refresh(w)).observation_deck()
-                for w in windows
+                w: uncached(cube, Q.observation_deck(), w) for w in windows
             }
+
+            def deck(w):
+                return execute(router.result(w), Q.observation_deck()).value
+
             for n, w in enumerate(windows, start=1):
-                assert router.view(w).observation_deck() == expected[w]
+                assert deck(w) == expected[w]
                 assert router.stats()["views"] == min(n, VIEW_CACHE_CAPACITY)
             assert router.refreshes == len(windows)
             # The oldest windows were evicted: asking again re-refreshes
             # and still answers exactly; the count never passes the cap.
             for w in windows[:3]:
-                assert router.view(w).observation_deck() == expected[w]
+                assert deck(w) == expected[w]
             assert router.refreshes == len(windows) + 3
             assert router.stats()["views"] == VIEW_CACHE_CAPACITY
         finally:
@@ -168,7 +181,7 @@ class TestRouterQueries:
 
 class TestInvalidation:
     def test_quarter_seal_clears_cache(self, cube, router):
-        stale = router.point((1, 1), (0, 0))
+        stale = ask(router, Q.cell((1, 1), (0, 0)))
         assert len(router.cache) == 1
         epoch = router.epoch
         # New data in a new quarter, then seal it.
@@ -177,16 +190,16 @@ class TestInvalidation:
             [StreamRecord((0, 0), t, 50.0) for t in range(t0, t0 + TPQ)]
         )
         cube.advance_to(t0 + TPQ)
-        fresh = router.point((1, 1), (0, 0))
+        fresh = ask(router, Q.cell((1, 1), (0, 0)))
         assert router.epoch == epoch + 1
         assert fresh != stale  # the jump moved the regression
         assert router.cache.hits == 0  # cleared, recomputed
 
     def test_no_invalidation_within_a_quarter(self, cube, router):
-        router.point((1, 1), (0, 0))
+        ask(router, Q.cell((1, 1), (0, 0)))
         # Mid-quarter records do not touch sealed history.
         cube.ingest_batch([StreamRecord((0, 0), 6 * TPQ, 50.0)])
-        router.point((1, 1), (0, 0))
+        ask(router, Q.cell((1, 1), (0, 0)))
         assert router.cache.hits == 1
 
 
@@ -194,9 +207,9 @@ class TestSpecExecution:
     def test_execute_fills_the_default_window(self, router):
         result = router.execute(Q.cell((1, 1), (0, 0)))
         assert result.spec.window_quarters == router.window_quarters
-        # The method-style wrapper builds the same plan -> same cache line.
+        # An explicit default window is the same plan -> same cache line.
         before = router.cache.hits
-        assert router.point((1, 1), (0, 0)) == result.value
+        assert ask(router, Q.cell((1, 1), (0, 0), window=4)) == result.value
         assert router.cache.hits == before + 1
 
     def test_equivalent_plans_share_one_cache_line(self, router):
@@ -214,7 +227,7 @@ class TestSpecExecution:
 
     def test_execute_accepts_wire_dicts(self, router):
         got = router.execute({"op": "watch_list"})
-        assert got.value == router.watch_list()
+        assert got.value == ask(router, Q.watch_list())
 
     def test_execute_batch_reports_in_order(self, router):
         items = router.execute_batch(
@@ -229,16 +242,8 @@ class TestSpecExecution:
         with pytest.raises(ServiceError):
             router.execute(Q.batch(Q.watch_list()))
 
-    def test_new_method_wrappers_match_view(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        some_cell = next(iter(cube.m_cells(4)))
-        assert router.siblings((2, 2), some_cell, "d0") == view.siblings(
-            (2, 2), some_cell, "d0"
-        )
-        assert router.observation_deck() == view.observation_deck()
-
     def test_stats_include_spec_counters(self, router):
-        router.point((1, 1), (0, 0))
+        ask(router, Q.cell((1, 1), (0, 0)))
         stats = router.stats()
         assert stats["specs_executed"] == 1
         assert stats["views"] == 1
@@ -258,7 +263,7 @@ class TestSpecExecution:
     def test_execute_versioned_returns_the_stored_cut(self, cube, router):
         cut, result = router.execute_versioned(Q.watch_list())
         assert cut == cube.epoch_vector()
-        assert result.value == router.watch_list()
+        assert result.value == uncached(cube, Q.watch_list())
         # The cache hit returns the very same stored entry.
         again_cut, again = router.execute_versioned(Q.watch_list())
         assert again_cut == cut

@@ -260,7 +260,7 @@ def v1_payload(engine: StreamCubeEngine) -> dict:
 
 
 class TestPackedStateCodec:
-    """Format version 2: packed base64 slot columns, version-1 compat."""
+    """Format version 2: packed base64 slot columns; version 1 is retired."""
 
     def loaded_engine(self, seed=9) -> StreamCubeEngine:
         engine = make_engine()
@@ -275,13 +275,10 @@ class TestPackedStateCodec:
             assert set(row) <= {"v", "s", "q", "t", "c"}
             assert isinstance(row["s"], str)
 
-    def test_version_1_payload_still_loads(self):
-        engine = self.loaded_engine()
-        wire = json.loads(json.dumps(v1_payload(engine)))
-        restored = StreamCubeEngine.restore(
-            engine_state_from_dict(wire), engine.layers, engine.policy
-        )
-        assert_engines_identical(engine, restored)
+    def test_version_1_payload_rejected(self):
+        wire = json.loads(json.dumps(v1_payload(self.loaded_engine())))
+        with pytest.raises(CodecError, match="unsupported version 1"):
+            engine_state_from_dict(wire)
 
     def test_packed_form_is_substantially_smaller(self):
         engine = self.loaded_engine()

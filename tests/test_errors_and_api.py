@@ -49,7 +49,7 @@ class TestPublicAPI:
             "multiway_cubing",
             "TiltTimeFrame",
             "StreamCubeEngine",
-            "RegressionCubeView",
+            "execute",
             "ExceptionDriller",
         ):
             assert name in repro.__all__
