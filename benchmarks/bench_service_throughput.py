@@ -21,9 +21,8 @@ peak memory per shard count — which is what the CI perf-smoke job diffs
 against the committed baseline in ``benchmarks/baselines/``.
 
 Also runnable through :mod:`benchmarks.report` (a service section follows the
-paper figures).  Pure-Python shards share the GIL, so ingest is not expected
-to scale with shard count yet — the table pins today's dispatch overhead so
-the later process-shard PR has a baseline to beat.
+paper figures).  In-process shards share the GIL, so ingest is not expected
+to scale with shard count — the table pins the dispatch overhead.
 """
 
 from __future__ import annotations

@@ -1,183 +1,100 @@
-"""The shard-execution seam: where a shard *runs* is a backend choice.
+"""Shard execution: N engines in this process behind a thread pool.
 
-:class:`ShardBackend` is the contract :class:`~repro.service.sharding.
-ShardedStreamCube` dispatches through — extracted from the cube's original
-``ThreadPoolExecutor`` wiring so process-parallel shards are a
-construction-time choice, not a rewrite.  Two implementations:
-
-* :class:`InprocBackend` — N engines in this process behind a thread pool,
-  preserving the original behavior exactly (no serialization, inline
-  single-shard calls, parallel fan-out).
-* :class:`~repro.cluster.process.ProcessBackend` — each shard behind a
-  forked worker process with a supervised RPC channel, for ingest that
-  scales past the GIL.
-
-Both drive the same :class:`~repro.cluster.worker.ShardHost` method
-surface, so the in-process tests cover exactly the dispatch logic the
-workers run.  :class:`ClusterConfig` is the user-facing knob bundle; the
-cube accepts either a backend name or a full config.
+:class:`ShardHost` wraps one :class:`~repro.stream.engine.StreamCubeEngine`
+behind an allowlisted method surface, and :class:`InprocBackend` drives N
+hosts for :class:`~repro.service.sharding.ShardedStreamCube`: single-shard
+calls run inline on the caller's thread, fan-outs on a pool.  Nothing is
+serialized, so results are bit-identical to the engines' by construction.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any
 
-from repro.cluster.worker import ShardHost
-from repro.errors import CorruptionError, ServiceError
+from repro import faults
+from repro.errors import ServiceError, StorageError
+from repro.io import engine_state_to_dict, write_atomic
 from repro.stream.engine import StreamCubeEngine
 
-__all__ = ["ClusterConfig", "InprocBackend", "ShardBackend"]
+__all__ = ["InprocBackend", "ShardHost"]
+
+#: Methods delegated verbatim to the shard engine.
+_ENGINE_METHODS = frozenset(
+    {
+        "apply_segments",
+        "advance_to",
+        "ingest",
+        "validate_segment_keys",
+        "prune_idle",
+        "window_isbs",
+        "m_cells",
+        "change_exceptions",
+        "change_exceptions_between",
+        "snapshot",
+        "load_state",
+        "storage_stats",
+        "compact_storage",
+        "drop_page_cache",
+    }
+)
+#: Methods the host itself implements.
+_HOST_METHODS = frozenset({"snapshot_to_file"})
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """How the cube's shards execute.
+class ShardHost:
+    """One shard engine plus the invocation surface the backend drives.
 
-    backend:
-        ``"inproc"`` (the default: engines in this process) or
-        ``"process"`` (one forked worker per shard).
-    rpc_timeout:
-        Seconds the parent waits for any one shard RPC before declaring
-        the worker dead and restarting it.  Generous by default — it is a
-        liveness backstop, not a latency SLO.
-    queue_depth:
-        Bound on in-flight-plus-queued requests per worker; a full queue
-        blocks the submitter (backpressure) instead of buffering without
-        limit.
-    max_restarts:
-        Per-worker restart budget; exceeding it surfaces a
-        :class:`ServiceError` instead of crash-looping.
-    recovery_dir:
-        Snapshot directory consulted when restarting a crashed worker
-        (restore the shard's last snapshot state, then replay the WAL
-        tail).  Without it, recovery replays the whole WAL from scratch.
-    ingest_chunk:
-        Records per dispatch chunk in the process backend's
-        ``ingest_batch`` — routing of chunk *k+1* overlaps worker
-        application of chunk *k*, hiding the parent's serial routing cost.
+    ``shard`` is the engine's shard index; every invocation runs under
+    ``faults.scope(shard)``, so injected faults count each shard's
+    operations on their own (see :mod:`repro.faults.plan`).
     """
 
-    backend: str = "inproc"
-    rpc_timeout: float = 30.0
-    queue_depth: int = 8
-    max_restarts: int = 5
-    recovery_dir: str | None = None
-    ingest_chunk: int = 4096
+    def __init__(
+        self, engine: StreamCubeEngine, shard: int | None = None
+    ) -> None:
+        self.engine = engine
+        self.shard = shard
 
-    def __post_init__(self) -> None:
-        if self.backend not in ("inproc", "process"):
-            raise ServiceError(
-                f"unknown shard backend {self.backend!r} "
-                "(expected 'inproc' or 'process')"
-            )
-        if self.queue_depth < 1:
-            raise ServiceError("queue_depth must be >= 1")
-        if self.ingest_chunk < 1:
-            raise ServiceError("ingest_chunk must be >= 1")
-
-
-class ShardBackend:
-    """The dispatch contract the sharded cube runs on.
-
-    ``call`` is a synchronous single-shard invocation; ``submit`` returns
-    a future; ``map`` fans one method over every shard with per-shard
-    arguments; ``broadcast`` is ``map`` with identical arguments.
-    ``counters()`` returns every shard's ``[quarter, records, cells]``
-    triple without a mandatory round trip (live reads in-process, cached
-    piggyback values for workers).  Implementations own their shards'
-    lifecycle: ``close()`` drains and releases them.
-    """
-
-    name: str
-
-    @property
-    def n_shards(self) -> int:
-        raise NotImplementedError
-
-    def call(self, shard: int, method: str, *args: Any) -> Any:
-        raise NotImplementedError
-
-    def submit(self, shard: int, method: str, *args: Any) -> Future:
-        raise NotImplementedError
-
-    def map(self, method: str, args_list: list[tuple]) -> list:
-        raise NotImplementedError
-
-    def broadcast(self, method: str, *args: Any) -> list:
-        return self.map(method, [args] * self.n_shards)
-
-    def settle(self, shard: int, method: str, args: tuple, future: Future) -> Any:
-        """Resolve one submitted future (crash-aware in process backends)."""
-        return future.result()
-
-    def broadcast_partial(
-        self, method: str, *args: Any
-    ) -> tuple[list, list[dict[str, Any]]]:
-        """Broadcast an idempotent read, tolerating lost shards.
-
-        Returns ``(results, missing)`` where ``results`` has a ``None``
-        hole per unreachable shard and ``missing`` describes each hole
-        (shard index, state, reason, ``last_quarter`` staleness bound).
-        The default tolerates only quarantined data
-        (:class:`CorruptionError`); the process backend also tolerates
-        dead workers.
-        """
-        results: list[Any] = []
-        missing: list[dict[str, Any]] = []
-        for shard in range(self.n_shards):
-            try:
-                results.append(self.call(shard, method, *args))
-            except CorruptionError as exc:
-                results.append(None)
-                missing.append(
-                    {
-                        "shard": shard,
-                        "state": "degraded",
-                        "reason": str(exc),
-                        "last_quarter": self.counters()[shard][0],
-                    }
-                )
-        return results, missing
-
-    def health(self) -> list[dict[str, Any]]:
-        """Per-shard health descriptors; in-process shards cannot die."""
+    def counters(self) -> list[int]:
+        """``[current_quarter, records_ingested, tracked_cells]``."""
+        engine = self.engine
         return [
-            {
-                "shard": shard,
-                "state": "healthy",
-                "restarts": 0,
-                "last_quarter": counters[0],
-                "reason": None,
-            }
-            for shard, counters in enumerate(self.counters())
+            engine.current_quarter,
+            engine.records_ingested,
+            engine.tracked_cells,
         ]
 
-    def health_version(self) -> int:
-        """Bumped on health transitions; constant when shards can't die."""
-        return 0
+    def invoke(self, method: str, args: tuple) -> Any:
+        """Run one allowlisted method."""
+        if method in _ENGINE_METHODS:
+            target = getattr(self.engine, method)
+        elif method in _HOST_METHODS:
+            target = getattr(self, method)
+        else:
+            raise ServiceError(f"unknown shard method {method!r}")
+        with faults.scope(self.shard):
+            return target(*args)
 
-    def counters(self) -> list[list[int]]:
-        raise NotImplementedError
+    def snapshot_to_file(self, path: str) -> None:
+        """Extract and atomically write this shard's engine state.
 
-    def stats(self) -> dict[str, Any]:
-        raise NotImplementedError
+        The write is temp-file + fsync + rename, so a crash mid-snapshot
+        leaves no torn file.
+        """
+        write_atomic(
+            path, json.dumps(engine_state_to_dict(self.engine.snapshot()))
+        )
 
-    def close(self) -> dict[str, Any] | None:
-        raise NotImplementedError
 
+class InprocBackend:
+    """Engines in this process, a pool for fan-out.
 
-class InprocBackend(ShardBackend):
-    """The original wiring: engines in this process, a pool for fan-out.
-
-    Single-shard ``call``s run inline on the caller's thread (exactly as
-    the pre-seam cube invoked its owner shard), ``map`` fans out on the
-    pool.  No serialization anywhere, so results are bit-identical to the
-    engines' by construction.
+    ``call`` is a synchronous single-shard invocation on the caller's
+    thread; ``map`` fans one method over every shard with per-shard
+    arguments; ``broadcast`` is ``map`` with identical arguments.
     """
-
-    name = "inproc"
 
     def __init__(
         self,
@@ -206,9 +123,6 @@ class InprocBackend(ShardBackend):
     def call(self, shard: int, method: str, *args: Any) -> Any:
         return self.hosts[shard].invoke(method, args)
 
-    def submit(self, shard: int, method: str, *args: Any) -> Future:
-        return self._pool.submit(self.hosts[shard].invoke, method, args)
-
     def map(self, method: str, args_list: list[tuple]) -> list:
         futures = [
             self._pool.submit(host.invoke, method, args)
@@ -216,12 +130,24 @@ class InprocBackend(ShardBackend):
         ]
         return [future.result() for future in futures]
 
+    def broadcast(self, method: str, *args: Any) -> list:
+        return self.map(method, [args] * self.n_shards)
+
     def broadcast_partial(
         self, method: str, *args: Any
     ) -> tuple[list, list[dict[str, Any]]]:
+        """Broadcast an idempotent read, tolerating unreadable cold data.
+
+        Returns ``(results, missing)``: ``results`` has a ``None`` hole per
+        shard whose cold tier could not serve the read, and ``missing``
+        describes each hole (shard index, state, reason, ``last_quarter``
+        staleness bound).  A checksum failure quarantines the page
+        (:class:`~repro.errors.CorruptionError`); later reads of it find
+        no page (:class:`~repro.errors.StorageError`), so both are holes.
+        """
         # Submit every shard first, then settle: degraded reads fan out in
         # parallel like healthy ones, instead of serializing on the holes.
-        futures = [
+        futures: list[Future] = [
             self._pool.submit(host.invoke, method, args) for host in self.hosts
         ]
         results: list[Any] = []
@@ -229,7 +155,7 @@ class InprocBackend(ShardBackend):
         for shard, future in enumerate(futures):
             try:
                 results.append(future.result())
-            except CorruptionError as exc:
+            except StorageError as exc:
                 results.append(None)
                 missing.append(
                     {
@@ -244,22 +170,5 @@ class InprocBackend(ShardBackend):
     def counters(self) -> list[list[int]]:
         return [host.counters() for host in self.hosts]
 
-    def stats(self) -> dict[str, Any]:
-        return {
-            "backend": self.name,
-            "workers": len(self.hosts),
-            "pids": [],
-            "restarts": 0,
-            "rpc_round_trips": 0,
-            "queue_high_water": [0] * len(self.hosts),
-            "health": ["healthy"] * len(self.hosts),
-        }
-
-    def close(self) -> dict[str, Any]:
+    def close(self) -> None:
         self._pool.shutdown(wait=True)
-        return {
-            "backend": self.name,
-            "drained": len(self.hosts),
-            "reaped": [],
-            "doomed": {},
-        }

@@ -10,15 +10,11 @@ loaders the checkpoint files use.
 Endpoints
 ---------
 ``GET  /health``   liveness + shard/quarter/record counters
-``GET  /healthz``  always 200: ``status`` (``ok`` / ``degraded``) plus the
-                   per-shard health descriptors (state, restarts, reason,
-                   ``last_quarter`` staleness bound)
-``GET  /readyz``   readiness probe: 200 while every shard can answer, 503
-                   with the dead shard list once any shard is gone for
-                   good (restart budget exhausted, unrecoverable state)
+``GET  /healthz``  always 200: ``status`` plus per-shard descriptors
+                   (state, ``last_quarter``)
+``GET  /readyz``   readiness probe: 200 once the service answers (in-process
+                   shards cannot die, so ``dead_shards`` is always empty)
 ``GET  /stats``    router cache/batch counters + partition-balance statistics
-                   + execution-backend block (backend name, worker pids,
-                   restarts, RPC round trips, queue high-water marks)
                    + durability counters (snapshots written, WAL seq)
                    + tiered-storage counters (cold pages, bytes on disk,
                    spill/fault activity; ``null`` without ``--storage-dir``)
@@ -37,7 +33,9 @@ Endpoints
 ``POST /subscribe``  register a continuous query: ``{"spec": {...}}`` or
                    ``{"watch": true}`` (o-layer exception alerts), with
                    ``every_seal: true`` / ``every_k_quarters: K`` and an
-                   optional ``queue_limit``; returns the subscription id
+                   optional ``queue_limit`` (at most ``MAX_QUEUE_LIMIT``;
+                   at most ``MAX_SUBSCRIPTIONS`` live at once); returns
+                   the subscription id
 ``DELETE /subscribe/{id}``  drop a subscription
 ``GET  /subscriptions``  the registered subscriptions + delivery counters
 ``GET  /updates?subscription=ID&since=SEQ[&timeout=S]``  long-poll pushed
@@ -45,12 +43,10 @@ Endpoints
                    seconds for a fresh seal before answering empty
 
 Degraded serving: the service turns on the cube's ``degraded_reads`` mode,
-so a query that cannot reach every shard (a worker past its restart
-budget, quarantined cold pages) still answers 200 with the reachable
-shards' exact union plus a ``"degraded"`` block naming each missing shard
-and the staleness bound — never a 500.  ``/readyz`` flips to 503 on the
-same condition, so an orchestrator stops routing *new* traffic while
-in-flight clients keep getting partial answers.
+so a query some shard cannot serve (its cold page failed a checksum and
+was quarantined) still answers 200 with the other shards' exact union plus
+a ``"degraded"`` block naming each missing shard and the staleness bound —
+never a 500.
 
 The query path is a pure decode → execute → encode shim over
 :meth:`repro.service.router.QueryRouter.execute`; all validation lives in
@@ -228,7 +224,7 @@ class StreamCubeService:
                     body = handler(payload or {})
             else:
                 body = handler(payload or {})
-            # Probes pick their own status (/readyz answers 503);
+            # A route may pick its own status (unsubscribe answers 404);
             # everything else is a body dict wrapped in 200.
             if isinstance(body, tuple):
                 return body
@@ -256,61 +252,30 @@ class StreamCubeService:
         }
 
     def healthz(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Always 200: the fleet's health picture, degraded or not."""
-        shards = self.cube.health()
-        sick = [entry for entry in shards if entry["state"] != "healthy"]
+        """Always 200: the per-shard picture."""
+        return {"status": "ok", "shards": self.cube.health()}
+
+    def readyz(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Readiness: the service answers, so it is ready."""
         return {
-            "status": "degraded" if sick else "ok",
-            "shards": shards,
+            "ready": True,
+            "shards": self.cube.n_shards,
+            "dead_shards": [],
         }
-
-    def readyz(
-        self, payload: dict[str, Any]
-    ) -> dict[str, Any] | tuple[int, dict[str, Any]]:
-        """Readiness: 503 once any shard is dead for good.
-
-        ``degraded``/``recovering`` shards do *not* fail readiness — the
-        supervisor revives those on the next call that needs them; only a
-        shard past recovery (``dead``) makes answers permanently partial.
-        """
-        shards = self.cube.health()
-        dead = [
-            entry["shard"] for entry in shards if entry["state"] == "dead"
-        ]
-        body = {
-            "ready": not dead,
-            "shards": len(shards),
-            "dead_shards": dead,
-        }
-        if dead:
-            return 503, body
-        return body
 
     def _degraded_block(self) -> dict[str, Any] | None:
         """The response annotation for a partially-answered query.
 
-        Combines what the just-run merged reads actually skipped
-        (:meth:`ShardedStreamCube.consume_degraded` — also drains it, so
-        holes never leak into an unrelated response) with shards the
-        health roster knows are dead (a cache-served answer runs no merged
-        read, but its holes are the same dead shards).  ``staleness_bound``
-        is the oldest ``last_quarter`` across the missing shards: data
-        owned by them is current only up to that quarter.
+        Drains what this request's merged reads skipped
+        (:meth:`ShardedStreamCube.consume_degraded`), so holes never leak
+        into an unrelated response.  ``staleness_bound`` is the oldest
+        ``last_quarter`` across the missing shards: data owned by them is
+        current only up to that quarter.
         """
-        missing = {
-            entry["shard"]: entry for entry in self.cube.consume_degraded()
-        }
-        for entry in self.cube.health():
-            if entry["state"] == "dead" and entry["shard"] not in missing:
-                missing[entry["shard"]] = {
-                    "shard": entry["shard"],
-                    "state": entry["state"],
-                    "reason": entry["reason"],
-                    "last_quarter": entry["last_quarter"],
-                }
-        if not missing:
+        holes = self.cube.consume_degraded()
+        if not holes:
             return None
-        rows = [missing[shard] for shard in sorted(missing)]
+        rows = sorted(holes, key=lambda row: row["shard"])
         return {
             "missing": rows,
             "staleness_bound": min(row["last_quarter"] for row in rows),
@@ -322,7 +287,6 @@ class StreamCubeService:
             "subscriptions": self.subscriptions.stats(),
             "shard_cells": self.cube.shard_cells,
             "ticks_per_quarter": self.cube.ticks_per_quarter,
-            "parallel": self.cube.parallel_stats(),
             "storage": self.cube.storage_stats(),
             "durability": {
                 "snapshot_dir": (

@@ -14,14 +14,14 @@ Concurrency: the router is safe for parallel callers and its hit path is
 completely lock-free on the cube.  Every cached entry is stored together
 with the cube's :meth:`~repro.service.sharding.ShardedStreamCube.
 epoch_vector` at computation time — the per-shard seal epochs plus the
-structure/health clocks — and is served iff a fresh lock-free vector read
+structure clock — and is served iff a fresh lock-free vector read
 matches it, so "invalidation" is a comparison, not a big-lock clear.
 Answers derive from sealed quarters only, so the vector changes exactly
-when one could change: a quarter seals, a shard's state is reloaded, or
-fleet health transitions.  Cache *misses* compute under the cube's read
-cut, and identical concurrent misses are collapsed to one execution
-(single-flight): followers wait for the leader's entry and re-validate
-instead of stampeding the engines.
+when one could change: a quarter seals, a shard's state is reloaded or
+pruned, or a degraded read comes back partial.  Cache *misses* compute
+under the cube's read cut, and identical concurrent misses are collapsed
+to one execution (single-flight): followers wait for the leader's entry
+and re-validate instead of stampeding the engines.
 """
 
 from __future__ import annotations
@@ -184,10 +184,12 @@ class QueryRouter:
         """The memoized result for ``window`` at the *current* read cut.
 
         The caller holds the cube's read lock, which freezes the epoch
-        vector fleet-wide (it can only move under every shard's write
-        lock) — so every concurrent read-cut holder sees one vector, and
-        the single-flight below means one of them refreshes while the
-        rest wait and reuse.
+        vector's quarter clocks fleet-wide (they only move under every
+        shard's write lock) — so every concurrent read-cut holder sees one
+        vector, and the single-flight below means one of them refreshes
+        while the rest wait and reuse.  A degraded (partial) refresh moves
+        the vector's structure clock instead, so it is never stored: each
+        waiter then refreshes for itself and reports its own holes.
         """
         vector = self.cube.epoch_vector()
         while True:
@@ -203,7 +205,8 @@ class QueryRouter:
                 try:
                     result = self.cube.refresh(window, self.algorithm)
                     with self._mu:
-                        self._views.put(window, (vector, result))
+                        if self.cube.epoch_vector() == vector:
+                            self._views.put(window, (vector, result))
                         self.refreshes += 1
                     return result
                 finally:
@@ -242,10 +245,11 @@ class QueryRouter:
 
         The hit path takes no cube locks at all: a cached entry whose
         stored epoch vector equals a fresh lock-free vector read is
-        returned as-is.  The racy read is sound because the vector only
-        moves under every shard's write lock — a matching comparison
-        proves the entry's cut is still current (a torn mid-seal vector
-        matches no stored cut and simply misses).  On a miss, the first
+        returned as-is.  The racy read is sound because every clock in
+        the vector is monotone and the quarter clocks only move under
+        every shard's write lock — a matching comparison proves the
+        entry's cut is still current (a torn mid-seal vector matches no
+        stored cut and simply misses).  On a miss, the first
         thread in (the leader) computes under the cube's read cut and
         fills the cache; concurrent identical misses wait for the leader
         and re-validate instead of stampeding the engines.  Errors are

@@ -4,25 +4,20 @@ Theorem 3.2 makes regression cells losslessly mergeable, so a stream cube can
 be *partitioned by m-layer key*: each key's whole history lives on exactly one
 :class:`~repro.stream.engine.StreamCubeEngine` shard, shards never exchange
 state during ingestion, and any global view is an exact disjoint-union merge
-(see :mod:`repro.service.merge`).  Where those shards *execute* is a backend
-choice (:mod:`repro.cluster`): in this process behind a thread pool
-(``backend="inproc"``, the default) or each behind a supervised worker
-process (``backend="process"``) for ingest that scales past the GIL.
+(see :mod:`repro.service.merge`).  The shards run in this process behind a
+thread pool (:class:`~repro.cluster.backends.InprocBackend`).
 
-Equivalence guarantee (property-tested in ``tests/service``, and pinned
-across backends by the chaos catalogue): for any quarter-ordered workload, a
-:class:`ShardedStreamCube` with *any* shard count and *either* backend
-produces bit-identical m-layer ISBs and per-cell exception sets to a single
-engine fed the same records — each cell's per-tick sums, sealing boundaries
-and tilt frame evolve on its owner shard exactly as they would in the single
-engine, and the process backend's JSON wire codecs round-trip floats
-bit-exactly.
+Equivalence guarantee (property-tested in ``tests/service``, and pinned by
+the chaos catalogue): for any quarter-ordered workload, a
+:class:`ShardedStreamCube` with *any* shard count produces bit-identical
+m-layer ISBs and per-cell exception sets to a single engine fed the same
+records — each cell's per-tick sums, sealing boundaries and tilt frame
+evolve on its owner shard exactly as they would in the single engine.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import re
 import threading
@@ -31,10 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
-from repro import faults
-from repro.cluster.backends import ClusterConfig, InprocBackend, ShardBackend
-from repro.cluster.process import ProcessBackend
-from repro.cluster.worker import WorkerSpec
+from repro.cluster.backends import InprocBackend
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
@@ -83,7 +75,7 @@ Values = tuple[Hashable, ...]
 _MANIFEST = "manifest.json"
 _SNAPSHOT_FORMAT = "repro-snapshot"
 
-#: Bound on the parent-side key -> shard routing cache (cleared wholesale
+#: Bound on the key -> shard routing cache (cleared wholesale
 #: when exceeded; routing is a pure function, so the cache is only a
 #: blake2b saver, never a correctness surface).
 _ROUTE_CACHE_LIMIT = 1 << 20
@@ -93,10 +85,9 @@ def stable_shard_index(values: Values, n_shards: int) -> int:
     """The owning shard of one m-layer key.
 
     Python's built-in ``hash`` is salted per process for strings, which would
-    scatter the same key to different shards across restarts (and across the
-    worker processes of the process backend).  An unkeyed blake2b digest
-    over a canonical encoding is stable everywhere and cheap enough for the
-    ingest path.
+    scatter the same key to different shards across restarts.  An unkeyed
+    blake2b digest over a canonical encoding is stable everywhere and cheap
+    enough for the ingest path.
     """
     digest = hashlib.blake2b(
         b"\x1f".join(repr(value).encode("utf-8") for value in values)
@@ -151,17 +142,13 @@ class ShardedStreamCube:
     n_shards:
         Number of engine shards keys are hash-partitioned over.
     max_workers:
-        Thread-pool width for per-shard dispatch on the in-process backend
-        (default: ``n_shards``).  Ignored by the process backend, where
-        each shard has a whole process.
+        Thread-pool width for per-shard dispatch (default: ``n_shards``).
     wal:
         Optional :class:`~repro.stream.wal.QuarterWAL` journaling the
         *cube-level* ingestion stream (batches before routing, explicit
         advances).  Shards never journal individually — replaying the cube
         journal re-routes every record to the same owner shard, so one log
-        covers the whole cube.  On the process backend the journal doubles
-        as the crash-recovery source: a restarted worker replays the
-        journal tail (after its last snapshot state) to rebuild its shard.
+        covers the whole cube.
     storage:
         Optional :class:`~repro.storage.StorageConfig`.  When given, each
         shard engine gets its own cold store under ``storage.root`` (one
@@ -169,16 +156,10 @@ class ShardedStreamCube:
         existing set written under a *different* shard count re-partitions
         the cold pages, so resharding carries deep history along), sealed
         history past ``storage.hot_quarters`` spills to disk, and deep
-        windows fault it back transparently.  Process-backed shards open
-        their own store partition inside the worker.
+        windows fault it back transparently.
     hot_quarters:
         Overrides ``storage.hot_quarters`` when given (the config default
         serves the common case).  Ignored without ``storage``.
-    backend:
-        ``"inproc"`` (default), ``"process"``, or a full
-        :class:`~repro.cluster.backends.ClusterConfig` for the supervised
-        process backend's knobs (RPC timeout, queue depth, restart budget,
-        crash-recovery snapshot directory).
 
     Concurrency discipline (the HTTP layer no longer serializes access):
     *mutators* (ingest / advance / prune / snapshot) are serialized by one
@@ -209,13 +190,12 @@ class ShardedStreamCube:
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> None:
         # Lifecycle flags first: close() must be safe (and idempotent)
         # even when construction fails before any resource exists.
         self._closed = False
         self._stores = None
-        self._backend: ShardBackend | None = None
+        self._backend: InprocBackend | None = None
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
         self.layers = layers
@@ -227,12 +207,6 @@ class ShardedStreamCube:
         )
         self.ticks_per_quarter = ticks_per_quarter
         levels = list(frame_levels) if frame_levels is not None else None
-        self._frame_levels = levels
-        self._cluster = (
-            backend
-            if isinstance(backend, ClusterConfig)
-            else ClusterConfig(backend=backend)
-        )
         self._storage_config = storage
         self._storage_generation = 0
         self.hot_quarters = (
@@ -240,12 +214,10 @@ class ShardedStreamCube:
             if hot_quarters is not None
             else (storage.hot_quarters if storage is not None else None)
         )
-        self._validate_values = layers.schema.values_validator(layers.m_coord)
         self._route_cache: dict[Values, int] = {}
-        self._pruned_since_snapshot = False
         self._snapshots_taken = 0
-        #: When True, merged reads tolerate lost shards (quarantined data,
-        #: dead workers) and record what was missing instead of raising —
+        #: When True, merged reads tolerate unreadable (quarantined) cold
+        #: data and record what was missing instead of raising —
         #: the service layer's degraded-serving mode.  Off by default so
         #: library callers keep strict all-shards-or-error semantics.
         self.degraded_reads = False
@@ -256,108 +228,59 @@ class ShardedStreamCube:
         # One write mutex serializes mutators end to end (WAL order, the
         # quarter clock); per-shard RW locks fence readers from the engine
         # mutation window only.  The seal epoch below versions structural
-        # changes the quarter clock cannot see (pruning, state loads).
+        # changes the quarter clock cannot see (pruning, state loads,
+        # degraded reads).
         self._write_mutex = threading.RLock()
         self._locks = ShardLockTable(n_shards)
         self._structure_version = 0
+        # Concurrent degraded readers bump the version under shared read
+        # locks; the increment must not lose updates (the vector must
+        # stay monotone for cached answers to be sound).
+        self._version_mu = threading.Lock()
         # Seal listeners fire after a sealing mutator has released every
         # shard write lock (still under the write mutex, so notifications
         # are totally ordered with the seals they announce).  Listeners
         # must be cheap and non-blocking — the subscription dispatcher
         # just flips an event; the seal path never waits on delivery.
         self._seal_listeners: list[Any] = []
-        #: Filled by :meth:`close` with the backend's drain report (workers
-        #: reaped, sticky-dead shards and why).
-        self.close_summary: dict[str, Any] | None = None
         try:
             if storage is not None:
                 self._storage_generation, self._stores = open_shard_stores(
                     storage, n_shards, stable_shard_index
                 )
-            if self._cluster.backend == "process":
-                self._backend = self._build_process_backend(n_shards)
-            else:
-                engines = [
-                    StreamCubeEngine(
-                        layers,
-                        policy,
-                        key_fn=key_fn,
-                        ticks_per_quarter=ticks_per_quarter,
-                        frame_levels=levels,
-                        storage=self._stores[i] if self._stores else None,
-                        hot_quarters=self.hot_quarters,
-                    )
-                    for i in range(n_shards)
-                ]
-                self._backend = InprocBackend(engines, max_workers)
+            engines = [
+                StreamCubeEngine(
+                    layers,
+                    policy,
+                    key_fn=key_fn,
+                    ticks_per_quarter=ticks_per_quarter,
+                    frame_levels=levels,
+                    storage=self._stores[i] if self._stores else None,
+                    hot_quarters=self.hot_quarters,
+                )
+                for i in range(n_shards)
+            ]
+            self._backend = InprocBackend(engines, max_workers)
         except BaseException:
             self.close()
             raise
-
-    def _build_process_backend(self, n_shards: int) -> ProcessBackend:
-        """Fork one supervised worker per shard.
-
-        The parent ran the generation/repartition logic by opening the
-        stores (constructor, above); workers reopen their own partition
-        locally, so the parent's handles are closed before the forks —
-        no file descriptor is shared across the process boundary.
-        """
-        if self._stores is not None:
-            for store in self._stores:
-                store.close()
-            self._stores = None
-        storage = self._storage_config
-        specs = [
-            WorkerSpec(
-                shard_index=i,
-                n_shards=n_shards,
-                layers=self.layers,
-                policy=self.policy,
-                key_fn=self._key_fn_arg,
-                ticks_per_quarter=self.ticks_per_quarter,
-                frame_levels=self._frame_levels,
-                storage_root=(
-                    str(storage.root) if storage is not None else None
-                ),
-                storage_backend=(
-                    storage.backend if storage is not None else None
-                ),
-                storage_generation=self._storage_generation,
-                hot_quarters=self.hot_quarters,
-                fault_plan=faults.active_plan(),
-            )
-            for i in range(n_shards)
-        ]
-        return ProcessBackend(
-            specs, recover=self._recover_shard, config=self._cluster
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the backend and any cold stores.
+        """Release the shard pool and any cold stores.
 
         Idempotent, and safe on a partially constructed cube (a failed
         ``__init__`` calls it with whatever subset of resources exists):
         every attribute is read defensively and closed at most once.
-        Never raises for a sick fleet: dead or sticky-dead (restart budget
-        exhausted, recovery refused) workers are reaped silently and
-        reported in :attr:`close_summary` instead — teardown after a chaos
-        run must not mask the run's own outcome with a shutdown error.
         """
         if getattr(self, "_closed", True):
             return
         self._closed = True
         backend = getattr(self, "_backend", None)
         if backend is not None:
-            try:
-                self.close_summary = backend.close()
-            except Exception as exc:
-                self.close_summary = {
-                    "backend": getattr(backend, "name", "?"),
-                    "error": str(exc),
-                }
+            backend.close()
         stores = getattr(self, "_stores", None)
         if stores is not None:
             for store in stores:
@@ -377,17 +300,8 @@ class ShardedStreamCube:
     # ------------------------------------------------------------------
     @property
     def shards(self) -> list[StreamCubeEngine]:
-        """The live shard engines (in-process backend only).
-
-        Kept for diagnostics and the test suite; process-backed shards
-        live in worker processes and have no in-process engine objects.
-        """
-        if isinstance(self._backend, InprocBackend):
-            return self._backend.engines
-        raise ServiceError(
-            "shards are worker processes under the process backend; "
-            "use parallel_stats() / shard_cells instead"
-        )
+        """The live shard engines (diagnostics and the test suite)."""
+        return self._backend.engines
 
     @property
     def n_shards(self) -> int:
@@ -422,12 +336,6 @@ class ShardedStreamCube:
             idx = stable_shard_index(key, self._backend.n_shards)
             cache[key] = idx
         return idx
-
-    def parallel_stats(self) -> dict[str, Any]:
-        """The execution backend's health block (the ``/stats`` surface):
-        backend name, worker pids, restart count, RPC round trips, and
-        per-worker queue high-water marks."""
-        return self._backend.stats()
 
     def storage_stats(self) -> dict[str, Any] | None:
         """The cube's tiered-storage picture, or ``None`` without storage.
@@ -484,31 +392,6 @@ class ShardedStreamCube:
         return freed
 
     # ------------------------------------------------------------------
-    # Chaos hooks (process backend only)
-    # ------------------------------------------------------------------
-    def kill_worker(self, shard: int) -> int:
-        """SIGKILL one shard worker (chaos testing); returns the pid."""
-        backend = self._backend
-        if not isinstance(backend, ProcessBackend):
-            raise ServiceError(
-                "kill_worker requires the process backend"
-            )
-        return backend.kill_worker(shard)
-
-    def arm_worker_fault(
-        self, shard: int, kind: str, method: str, seconds: float = 0.0
-    ) -> None:
-        """Arm a one-shot worker fault (``exit`` or ``sleep``) that fires
-        on the next invocation of ``method`` — the chaos scenarios' lever
-        for crash-mid-call and RPC-timeout coverage."""
-        backend = self._backend
-        if not isinstance(backend, ProcessBackend):
-            raise ServiceError(
-                "fault injection requires the process backend"
-            )
-        backend.call(shard, "_arm_fault", kind, method, seconds)
-
-    # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def ingest(self, record: StreamRecord) -> None:
@@ -527,12 +410,9 @@ class ShardedStreamCube:
                         f"{quarter} (current quarter is "
                         f"{self.current_quarter})"
                     )
-                if isinstance(backend, InprocBackend):
-                    owner = backend.engines[idx]
-                    if key not in owner._cells:
-                        owner.validate_cell_key(key)
-                else:
-                    self._validate_values(tuple(key))
+                owner = backend.engines[idx]
+                if key not in owner._cells:
+                    owner.validate_cell_key(key)
                 self.wal.append_batch([record], quarter)
             if quarter > self.current_quarter:
                 # Sealing: every shard's clock moves, so every shard is
@@ -605,20 +485,10 @@ class ShardedStreamCube:
         if self.wal is not None:
             # Journal integrity: validate cell keys before the batch is
             # journaled, so the log can never hold a batch that would fail
-            # on replay.  WAL-off skips the pass entirely.  The in-process
-            # backend checks only keys its engines have not seen; the
-            # process backend validates every key parent-side (strictly
-            # stronger, and it saves a round trip per shard).
-            if isinstance(backend, InprocBackend):
-                for engine, shard_segments in zip(
-                    backend.engines, segments
-                ):
-                    engine.validate_segment_keys(shard_segments)
-            else:
-                validate = self._validate_values
-                for _, groups in itertools.chain.from_iterable(segments):
-                    for key in groups:
-                        validate(key)
+            # on replay.  WAL-off skips the pass entirely.  Each engine
+            # checks only the keys it has not seen.
+            for engine, shard_segments in zip(backend.engines, segments):
+                engine.validate_segment_keys(shard_segments)
             self.wal.append_batch(batch, quarters[-1])
         # Readers are fenced out only while engine state actually changes:
         # a sealing batch (its top quarter passes the cube clock) moves
@@ -632,76 +502,12 @@ class ShardedStreamCube:
                 [i for i in range(n_shards) if segments[i]]
             )
         with lock_ctx:
-            if isinstance(backend, ProcessBackend):
-                self._dispatch_chunked(backend, segments)
-            else:
-                backend.map(
-                    "apply_segments", list(zip(segments, counts))
-                )
+            backend.map("apply_segments", list(zip(segments, counts)))
             if sealing:
                 self._align(max(c[0] for c in backend.counters()))
         if sealing:
             self._notify_seal()
         return len(batch)
-
-    def _dispatch_chunked(
-        self, backend: ProcessBackend, segments: list[list]
-    ) -> None:
-        """Pipelined dispatch of one routed batch to the worker fleet.
-
-        Each shard's segments are split at group (cell) boundaries into
-        chunks of roughly ``ingest_chunk`` records and submitted
-        round-robin, so workers start applying the head of the batch while
-        the parent is still encoding its tail — the parent's serial
-        routing/encoding cost hides behind worker compute.  Chunking is
-        bit-identical to one-shot dispatch: groups stay whole, per-shard
-        quarter order is preserved, and ``apply_segments`` is associative
-        over group-aligned splits (the engine folds each group with one
-        ``add_many`` either way).
-        """
-        target = self._cluster.ingest_chunk
-        per_shard_chunks: list[list[tuple[list, int]]] = []
-        for shard_segments in segments:
-            chunks: list[tuple[list, int]] = []
-            chunk: list = []
-            chunk_records = 0
-            chunk_groups: dict | None = None
-            chunk_quarter = -1
-            for quarter, groups in shard_segments:
-                chunk_groups = None
-                for key, (ts, zs) in groups.items():
-                    if chunk_groups is None or chunk_quarter != quarter:
-                        chunk_groups = {}
-                        chunk.append((quarter, chunk_groups))
-                        chunk_quarter = quarter
-                    chunk_groups[key] = (ts, zs)
-                    chunk_records += len(ts)
-                    if chunk_records >= target:
-                        chunks.append((chunk, chunk_records))
-                        chunk = []
-                        chunk_records = 0
-                        chunk_groups = None
-            if chunk:
-                chunks.append((chunk, chunk_records))
-            per_shard_chunks.append(chunks)
-        pending: list[tuple[int, tuple, Any]] = []
-        for round_ in itertools.zip_longest(*per_shard_chunks):
-            for shard, item in enumerate(round_):
-                if item is None:
-                    continue
-                chunk, chunk_records = item
-                args = (chunk, chunk_records)
-                pending.append(
-                    (
-                        shard,
-                        args,
-                        backend.submit(
-                            shard, "apply_segments", *args
-                        ),
-                    )
-                )
-        for shard, args, future in pending:
-            backend.settle(shard, "apply_segments", args, future)
 
     def advance_to(self, t: int) -> None:
         """Seal quiet quarters on every shard in parallel (cf. the single
@@ -722,19 +528,12 @@ class ShardedStreamCube:
                 self._backend.broadcast("advance_to", t)
 
     def prune_idle(self, idle_quarters: int) -> int:
-        """Drop idle cells on every shard; returns the total dropped.
-
-        Pruning is not journaled, so on the process backend it makes the
-        WAL an incomplete account of the live state until the next
-        snapshot — crash recovery refuses to guess across that gap (see
-        :meth:`_recover_shard`).
-        """
+        """Drop idle cells on every shard; returns the total dropped."""
         with self._write_mutex, self._locks.write_all():
             dropped = sum(
                 self._backend.broadcast("prune_idle", idle_quarters)
             )
             if dropped:
-                self._pruned_since_snapshot = True
                 # Pruning changes merged answers without moving the
                 # quarter clock; bump the seal epoch so cached results
                 # keyed on the old vector can never be served again.
@@ -788,11 +587,12 @@ class ShardedStreamCube:
 
         Strict mode (the default) is the original behavior: every shard
         must answer or the error propagates.  With :attr:`degraded_reads`
-        set, unreachable shards (quarantined data, dead workers) become
-        holes: the union covers the answering shards and each hole's
-        descriptor accumulates for :meth:`consume_degraded` — partial
-        results are exact for the shards present, since shards own
-        disjoint key sets.
+        set, shards whose cold tier cannot serve the read become holes:
+        the union covers the answering shards and each hole's descriptor
+        accumulates for :meth:`consume_degraded` — partial results are
+        exact for the shards present, since shards own disjoint key sets.
+        A partial read also bumps the structure version, so no cached
+        answer outlives it: repeats re-read and report the hole again.
         """
         with self._locks.read_all():
             backend = self._backend
@@ -800,6 +600,8 @@ class ShardedStreamCube:
                 return disjoint_union(backend.broadcast(method, *args))
             results, missing = backend.broadcast_partial(method, *args)
             if missing:
+                with self._version_mu:
+                    self._structure_version += 1
                 holes = self._degraded_holes()
                 seen = {entry["shard"] for entry in holes}
                 holes.extend(
@@ -820,8 +622,8 @@ class ShardedStreamCube:
     def consume_degraded(self) -> list[dict[str, Any]]:
         """Drain the holes accumulated by *this thread's* merged reads.
 
-        Each descriptor names the missing shard, its health state, why it
-        was skipped, and ``last_quarter`` — the staleness bound: data in
+        Each descriptor names the missing shard, its state, why it was
+        skipped, and ``last_quarter`` — the staleness bound: data in
         that shard's keys is current only up to that quarter.  Holes are
         tracked per thread, so under concurrent queries each response
         drains exactly the holes its own reads produced.  Empty when every
@@ -832,30 +634,30 @@ class ShardedStreamCube:
         return drained
 
     def health(self) -> list[dict[str, Any]]:
-        """Per-shard health descriptors (state, restarts, staleness)."""
-        return self._backend.health()
-
-    def health_version(self) -> int:
-        """Bumped on worker health transitions (router cache epoch)."""
-        return self._backend.health_version()
+        """Per-shard descriptors: in-process shards cannot die, so each is
+        ``healthy`` at its own quarter clock (``last_quarter``)."""
+        return [
+            {"shard": shard, "state": "healthy", "last_quarter": c[0]}
+            for shard, c in enumerate(self._backend.counters())
+        ]
 
     def epoch_vector(self) -> tuple[int, ...]:
         """The cube's read-consistency version: one lock-free tuple.
 
-        ``(structure_version, health_version, q_0 .. q_{n-1})`` — the seal
-        epoch of every shard plus the two clocks the quarter counters
-        cannot see (pruning/state loads, worker health transitions).  Any
-        merged answer is a pure function of this vector: quarter counters
-        only move under every shard's write lock (sealing), so a vector
-        recorded inside :meth:`read_lock` names the exact cut an answer
-        was computed at, and a cached answer is still valid iff a later
-        lock-free read returns the same vector.  A torn read during a seal
-        can only produce a vector that matches *no* consistent cut (the
-        counters move monotonically), which safely reads as "stale".
+        ``(structure_version, q_0 .. q_{n-1})`` — the seal epoch of every
+        shard plus the clock the quarter counters cannot see (pruning,
+        state loads, degraded reads).  Any complete merged answer is a
+        pure function of this vector, and a partial one moves it past the
+        cut it was read at.  Quarter counters only move under every
+        shard's write lock (sealing), so a vector recorded inside
+        :meth:`read_lock` names the exact cut an answer was computed at,
+        and a cached answer is still valid iff a later lock-free read
+        returns the same vector.  A torn read during a seal can only
+        produce a vector that matches *no* consistent cut (the counters
+        move monotonically), which safely reads as "stale".
         """
         return (
             self._structure_version,
-            self.health_version(),
             *(c[0] for c in self._backend.counters()),
         )
 
@@ -878,11 +680,9 @@ class ShardedStreamCube:
 
         A disjoint union of the per-shard m-layers (shards own disjoint key
         sets), canonically ordered so the result is identical for every
-        shard count.  The window bounds are fixed parent-side under the
-        read cut and broadcast as an explicit interval, so every shard
-        answers for the *same* window by construction — even one that is
-        mid-recovery with a lagging clock (it raises for an uncovered
-        window instead of silently answering for an older one).
+        shard count.  The window bounds are fixed once under the read cut
+        and broadcast as an explicit interval, so every shard answers for
+        the *same* window by construction.
         """
         with self._locks.read_all():
             if self.current_quarter < window_quarters:
@@ -921,15 +721,13 @@ class ShardedStreamCube:
 
         Layout: one ``shard-<i>-<generation>.json`` engine-state file per
         shard plus a ``manifest.json`` naming them.  Each shard writes its
-        own file *where its state lives* — on the in-process backend that
-        is a pool thread, on the process backend the worker itself — so a
-        process-backed snapshot never ships cell payloads through the
-        parent.  The manifest is written *last*, through a temp file +
-        ``os.replace``, so a crash mid-snapshot leaves the previous
-        snapshot fully intact — the generation tag in the shard filenames
-        keeps new files from overwriting the ones the old manifest still
-        references.  Stale shard files from earlier generations are
-        removed after the manifest lands.
+        own file on a pool thread, in parallel.  The manifest is written
+        *last*, through a temp file + ``os.replace``, so a crash
+        mid-snapshot leaves the previous snapshot fully intact — the
+        generation tag in the shard filenames keeps new files from
+        overwriting the ones the old manifest still references.  Stale
+        shard files from earlier generations are removed after the
+        manifest lands.
 
         ``extra``, when given, is stored under the manifest's ``"app"`` key
         — the serving CLI records its schema flags there so ``--restore``
@@ -1007,9 +805,6 @@ class ShardedStreamCube:
         for stale in target.glob("shard-*.json"):
             if stale.name not in referenced:
                 stale.unlink(missing_ok=True)
-        # A durable snapshot re-anchors crash recovery: everything the WAL
-        # cannot reproduce (e.g. pruning) is now inside the checkpoint.
-        self._pruned_since_snapshot = False
         return manifest
 
     @staticmethod
@@ -1044,7 +839,6 @@ class ShardedStreamCube:
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> "ShardedStreamCube":
         """Rebuild a cube from a snapshot directory.
 
@@ -1057,9 +851,6 @@ class ShardedStreamCube:
         with tiered storage needs ``storage`` pointing at the same cold
         root (``hot_quarters`` defaults to the snapshot's setting); the
         shard-count change case re-partitions the cold pages on open.
-        ``backend`` selects the execution backend of the restored cube —
-        snapshots are backend-agnostic, so a cube snapshotted in-process
-        restores onto worker processes and vice versa.
         Follow with ``wal.replay(cube, after_seq=manifest["wal_seq"])`` to
         recover an interrupted run (the serving CLI does this for you).
         """
@@ -1103,7 +894,6 @@ class ShardedStreamCube:
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
-            backend=backend,
         )
 
     def reshard(
@@ -1135,7 +925,6 @@ class ShardedStreamCube:
             wal=None,
             storage=self._storage_config,
             hot_quarters=self.hot_quarters,
-            backend=self._cluster,
         )
 
     @classmethod
@@ -1150,7 +939,6 @@ class ShardedStreamCube:
         wal: QuarterWAL | None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> "ShardedStreamCube":
         """Build a cube from per-shard engine states, re-partitioning when
         the target shard count differs from ``len(states)``."""
@@ -1188,112 +976,9 @@ class ShardedStreamCube:
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
-            backend=backend,
         )
         cube._backend.map("load_state", [(state,) for state in states])
         return cube
-
-    # ------------------------------------------------------------------
-    # Crash recovery (process backend)
-    # ------------------------------------------------------------------
-    def _recover_shard(self, shard: int) -> None:
-        """Rebuild one freshly restarted worker's shard state.
-
-        Recovery composes exactly like the cube-level recovery idiom:
-        restore the shard's slice of the last snapshot (when the
-        supervisor's ``recovery_dir`` holds one for this shard count),
-        then replay the WAL tail routed to this shard, then re-align the
-        quarter clock.  Refuses loudly whenever the journal cannot account
-        for the live state — no WAL attached, a snapshot from a different
-        shard count, or un-snapshotted pruning — rather than resurrecting
-        a subtly divergent shard.
-        """
-        if self.wal is None:
-            raise ServiceError(
-                f"shard worker {shard} crashed but no WAL is attached; "
-                "its state cannot be rebuilt — attach a WAL (and a "
-                "recovery snapshot directory) to run process shards "
-                "through crashes"
-            )
-        if self._pruned_since_snapshot:
-            raise ServiceError(
-                "prune_idle ran after the last snapshot; the WAL cannot "
-                "reproduce pruning, so the crashed shard cannot be "
-                "rebuilt bit-identically — snapshot after pruning to "
-                "re-anchor recovery"
-            )
-        submit = self._backend.submit
-        after = 0
-        recovery_dir = self._cluster.recovery_dir
-        if (
-            recovery_dir is not None
-            and (Path(recovery_dir) / _MANIFEST).exists()
-        ):
-            manifest = self.read_manifest(recovery_dir)
-            if int(manifest["n_shards"]) != self._backend.n_shards:
-                raise ServiceError(
-                    "recovery snapshot was written under "
-                    f"{manifest['n_shards']} shards but the cube runs "
-                    f"{self._backend.n_shards}; cannot restore one shard "
-                    "from it"
-                )
-            name = manifest["shards"][shard]
-            payload = decoding(
-                "snapshot",
-                lambda: json.loads(
-                    (Path(recovery_dir) / name).read_text()
-                ),
-            )
-            submit(
-                shard, "load_state", engine_state_from_dict(payload)
-            ).result()
-            after = int(manifest["wal_seq"])
-        self._replay_into_shard(shard, after)
-
-    def _replay_into_shard(self, shard: int, after_seq: int) -> None:
-        """Replay the WAL tail (``seq > after_seq``) into one shard.
-
-        Batches are re-routed record by record (``stable_shard_index`` is
-        process-stable, so every record lands on the same owner it did
-        originally) and re-grouped into the same segment shape the live
-        dispatch built.  Alignment advances are *derived* state and not
-        journaled, so the final explicit ``advance_to`` re-seals the shard
-        up to the cube clock — deferred sealing is bit-identical because
-        each quarter's accumulator is complete before it seals either way.
-        """
-        tpq = self.ticks_per_quarter
-        n_shards = self._backend.n_shards
-        key_fn = self.key_fn
-        submit = self._backend.submit
-        for entry in self.wal.entries(after_seq=after_seq):
-            if entry.kind == "advance":
-                submit(shard, "advance_to", entry.t).result()
-                continue
-            assert entry.records is not None
-            segments: list = []
-            groups: dict | None = None
-            segment_quarter = -1
-            count = 0
-            for record in entry.records:
-                key = key_fn(record)
-                if stable_shard_index(tuple(key), n_shards) != shard:
-                    continue
-                quarter = record.t // tpq
-                if groups is None or quarter != segment_quarter:
-                    groups = {}
-                    segments.append((quarter, groups))
-                    segment_quarter = quarter
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = ([], [])
-                group[0].append(record.t)
-                group[1].append(record.z)
-                count += 1
-            if segments:
-                submit(shard, "apply_segments", segments, count).result()
-        submit(
-            shard, "advance_to", self.current_quarter * tpq
-        ).result()
 
     # ------------------------------------------------------------------
     # Change analysis
@@ -1303,9 +988,9 @@ class ShardedStreamCube:
 
         Change detection is per-cell, so the global answer is the disjoint
         union of the per-shard answers.  As with :meth:`m_cells`, the two
-        window bounds are fixed parent-side under the read cut and shipped
-        explicitly, so no shard ever judges change over a window pair its
-        own (possibly lagging) clock picked.
+        window bounds are fixed once under the read cut and shipped
+        explicitly, so every shard judges change over the same window
+        pair.
         """
         with self._locks.read_all():
             prev_b, cur_b, end = change_window_bounds(

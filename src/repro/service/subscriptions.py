@@ -36,7 +36,28 @@ from typing import Any, Mapping
 from repro.errors import ReproError, ServiceError
 from repro.query.spec import Q, QuerySpec, spec_from_dict
 
-__all__ = ["Subscription", "SubscriptionRegistry"]
+__all__ = [
+    "MAX_QUEUE_LIMIT",
+    "MAX_SUBSCRIPTIONS",
+    "Subscription",
+    "SubscriptionRegistry",
+]
+
+#: Ceiling on any one subscription's update-queue bound: pending updates
+#: are whole query results, so an unbounded ``queue_limit`` from a client
+#: is an unbounded allocation.
+MAX_QUEUE_LIMIT = 4096
+#: Ceiling on live subscriptions per registry: each one costs an
+#: evaluation per due seal and a queue, whoever registered it.
+MAX_SUBSCRIPTIONS = 1024
+
+
+def _check_queue_limit(limit: int) -> None:
+    if not 1 <= limit <= MAX_QUEUE_LIMIT:
+        raise ServiceError(
+            f"queue_limit must be in [1, {MAX_QUEUE_LIMIT}] "
+            f"(MAX_QUEUE_LIMIT), got {limit}"
+        )
 
 
 @dataclass
@@ -102,9 +123,10 @@ class SubscriptionRegistry:
         The query router updates are evaluated through.  The registry
         attaches itself to ``router.cube`` as a seal listener.
     queue_limit:
-        Default per-subscription queue bound.  When a queue is full the
-        *oldest* update is dropped (and counted) — a slow consumer loses
-        history, never blocks the stream.
+        Default per-subscription queue bound, at most
+        :data:`MAX_QUEUE_LIMIT`.  When a queue is full the *oldest* update
+        is dropped (and counted) — a slow consumer loses history, never
+        blocks the stream.
     poll_cap:
         Upper bound on any single long-poll wait, seconds.
     """
@@ -115,10 +137,7 @@ class SubscriptionRegistry:
         queue_limit: int = 16,
         poll_cap: float = 30.0,
     ) -> None:
-        if queue_limit < 1:
-            raise ServiceError(
-                f"queue_limit must be >= 1, got {queue_limit}"
-            )
+        _check_queue_limit(queue_limit)
         self.router = router
         self.queue_limit = queue_limit
         self.poll_cap = poll_cap
@@ -160,7 +179,8 @@ class SubscriptionRegistry:
 
         ``watch=True`` is the o-layer exception shorthand: it rides the
         ``watch_list`` spec so alerts share the cache line (and the single
-        execution per seal) with every other watcher of that window.
+        execution per seal) with every other watcher of that window.  At
+        most :data:`MAX_SUBSCRIPTIONS` may be live at once.
         """
         if watch:
             if spec is not None:
@@ -173,8 +193,7 @@ class SubscriptionRegistry:
         if every_k < 1:
             raise ServiceError(f"every_k must be >= 1, got {every_k}")
         limit = self.queue_limit if queue_limit is None else queue_limit
-        if limit < 1:
-            raise ServiceError(f"queue_limit must be >= 1, got {limit}")
+        _check_queue_limit(limit)
         # Pin the window now so every update of this subscription answers
         # the same question, and validate eagerly so a bad spec fails the
         # subscribe call, not a background dispatch.
@@ -184,6 +203,11 @@ class SubscriptionRegistry:
         with self._cond:
             if self._stop:
                 raise ServiceError("subscription registry is closed")
+            if len(self._subs) >= MAX_SUBSCRIPTIONS:
+                raise ServiceError(
+                    f"{MAX_SUBSCRIPTIONS} subscriptions are live "
+                    "(MAX_SUBSCRIPTIONS); unsubscribe one first"
+                )
             sub_id = f"sub-{next(self._ids)}"
             self._subs[sub_id] = Subscription(
                 sub_id=sub_id,
@@ -208,12 +232,10 @@ class SubscriptionRegistry:
         every_k = _parse_every_k(payload)
         queue_limit = payload.get("queue_limit")
         if queue_limit is not None and (
-            not isinstance(queue_limit, int)
-            or isinstance(queue_limit, bool)
-            or queue_limit < 1
+            not isinstance(queue_limit, int) or isinstance(queue_limit, bool)
         ):
             raise ServiceError(
-                f"queue_limit must be an int >= 1, got {queue_limit!r}"
+                f"queue_limit must be an int, got {queue_limit!r}"
             )
         if payload.get("watch"):
             if "spec" in payload:
@@ -302,7 +324,7 @@ class SubscriptionRegistry:
                 self.eval_errors += 1
                 continue
             update = {
-                "quarter": min(cut[2:]) if len(cut) > 2 else quarter,
+                "quarter": min(cut[1:]) if len(cut) > 1 else quarter,
                 "epoch": list(cut),
                 "op": sub.spec.op,
                 "result": result.to_dict(),

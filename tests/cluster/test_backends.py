@@ -1,19 +1,17 @@
-"""The backend seam in-process: config validation, dispatch, the host.
+"""Shard execution in-process: dispatch, partial broadcasts, the host.
 
-:class:`InprocBackend` and :class:`ShardHost` are the halves every
-backend shares — covering them here means the process workers run
-already-tested dispatch code, with only the socket loop process-only.
+:class:`InprocBackend` and :class:`ShardHost` are the whole execution
+layer under :class:`~repro.service.sharding.ShardedStreamCube`.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future
+import threading
 
 import pytest
 
-from repro.cluster import ClusterConfig, InprocBackend, ShardBackend, ShardHost
-from repro.errors import ServiceError
+from repro.cluster import InprocBackend, ShardHost
+from repro.errors import CorruptionError, ServiceError, StorageError
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
 
@@ -25,26 +23,6 @@ def make_engines(layers, policy, n=2):
         StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
         for _ in range(n)
     ]
-
-
-class TestClusterConfig:
-    def test_defaults_are_inproc(self):
-        config = ClusterConfig()
-        assert config.backend == "inproc"
-        assert config.queue_depth >= 1
-        assert config.ingest_chunk >= 1
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ServiceError, match="unknown shard backend"):
-            ClusterConfig(backend="threads")
-
-    def test_queue_depth_must_be_positive(self):
-        with pytest.raises(ServiceError, match="queue_depth"):
-            ClusterConfig(queue_depth=0)
-
-    def test_ingest_chunk_must_be_positive(self):
-        with pytest.raises(ServiceError, match="ingest_chunk"):
-            ClusterConfig(ingest_chunk=0)
 
 
 class TestInprocBackend:
@@ -83,24 +61,101 @@ class TestInprocBackend:
         finally:
             backend.close()
 
-    def test_stats_shape(self, layers, policy):
-        backend = InprocBackend(make_engines(layers, policy, n=3))
+    def test_broadcast_partial_without_holes(self, layers, policy):
+        backend = InprocBackend(make_engines(layers, policy))
         try:
-            stats = backend.stats()
-            assert stats["backend"] == "inproc"
-            assert stats["workers"] == 3
-            assert stats["pids"] == []
-            assert stats["restarts"] == 0
-            assert stats["queue_high_water"] == [0, 0, 0]
+            backend.broadcast("advance_to", TPQ)
+            results, missing = backend.broadcast_partial(
+                "window_isbs", 0, TPQ - 1
+            )
+            assert results == [{}, {}]
+            assert missing == []
         finally:
             backend.close()
 
-    def test_base_settle_is_future_result(self, layers, policy):
-        future: Future = Future()
-        future.set_result("value")
-        assert (
-            ShardBackend.settle(object(), 0, "ping", (), future) == "value"
-        )
+    @pytest.mark.parametrize(
+        "error",
+        [
+            CorruptionError("page quarantined"),
+            StorageError("no page for level 0"),
+        ],
+    )
+    def test_broadcast_partial_turns_storage_errors_into_holes(
+        self, layers, policy, error
+    ):
+        engines = make_engines(layers, policy)
+        backend = InprocBackend(engines)
+
+        def unreadable(*args):
+            raise error
+
+        engines[1].window_isbs = unreadable
+        try:
+            backend.broadcast("advance_to", 2 * TPQ)
+            results, missing = backend.broadcast_partial(
+                "window_isbs", 0, TPQ - 1
+            )
+            assert results == [{}, None]
+            assert missing == [
+                {
+                    "shard": 1,
+                    "state": "degraded",
+                    "reason": str(error),
+                    "last_quarter": 2,
+                }
+            ]
+        finally:
+            backend.close()
+
+    def test_broadcast_partial_propagates_other_errors(self, layers, policy):
+        engines = make_engines(layers, policy)
+        backend = InprocBackend(engines)
+
+        def broken(*args):
+            raise ValueError("a bug, not a cold-tier failure")
+
+        engines[0].window_isbs = broken
+        try:
+            with pytest.raises(ValueError, match="a bug"):
+                backend.broadcast_partial("window_isbs", 0, TPQ - 1)
+        finally:
+            backend.close()
+
+    def test_call_runs_inline_and_fan_out_on_the_pool(self, layers, policy):
+        engines = make_engines(layers, policy)
+        for engine in engines:
+            engine.storage_stats = threading.get_ident
+        backend = InprocBackend(engines)
+        try:
+            assert backend.call(1, "storage_stats") == threading.get_ident()
+            idents = backend.broadcast("storage_stats")
+            assert threading.get_ident() not in idents
+        finally:
+            backend.close()
+
+    def test_max_workers_bounds_the_pool(self, layers, policy):
+        engines = make_engines(layers, policy, n=3)
+        for engine in engines:
+            engine.storage_stats = threading.get_ident
+        backend = InprocBackend(engines, max_workers=1)
+        try:
+            assert len(set(backend.broadcast("storage_stats"))) == 1
+        finally:
+            backend.close()
+
+    def test_broadcast_sends_every_shard_the_same_args(self, layers, policy):
+        backend = InprocBackend(make_engines(layers, policy, n=3))
+        try:
+            backend.broadcast("advance_to", 3 * TPQ)
+            assert [c[0] for c in backend.counters()] == [3, 3, 3]
+        finally:
+            backend.close()
+
+    def test_closed_backend_refuses_fan_out(self, layers, policy):
+        backend = InprocBackend(make_engines(layers, policy))
+        backend.close()
+        with pytest.raises(RuntimeError):
+            backend.broadcast("m_cells", 1)
 
 
 class TestShardHost:
@@ -125,29 +180,6 @@ class TestShardHost:
         assert quarter == 2
         assert ingested == 1
         assert cells == 1
-
-    def test_arm_fault_rejects_unknown_kind(self, layers, policy):
-        with pytest.raises(ServiceError, match="unknown fault kind"):
-            self.host(layers, policy).invoke(
-                "_arm_fault", ("segfault", "ping")
-            )
-
-    def test_sleep_fault_is_one_shot(self, layers, policy):
-        host = self.host(layers, policy)
-        host.invoke("_arm_fault", ("sleep", "ping", 0.05))
-        begin = time.monotonic()
-        host.invoke("ping", ())
-        assert time.monotonic() - begin >= 0.05
-        assert host._fault is None  # disarmed
-        begin = time.monotonic()
-        host.invoke("ping", ())
-        assert time.monotonic() - begin < 0.05
-
-    def test_fault_only_fires_on_named_method(self, layers, policy):
-        host = self.host(layers, policy)
-        host.invoke("_arm_fault", ("sleep", "m_cells", 0.05))
-        host.invoke("ping", ())
-        assert host._fault is not None  # still armed
 
     def test_snapshot_to_file_round_trips(self, layers, policy, tmp_path):
         host = self.host(layers, policy)

@@ -49,6 +49,15 @@ class TestExplicitHierarchy:
         with pytest.raises(HierarchyError):
             location.parent("nope", 3)
 
+    @pytest.mark.parametrize("level", [0, 4])
+    def test_parent_level_out_of_range(self, location, level):
+        with pytest.raises(HierarchyError, match="out of range"):
+            location.parent("a0", level)
+
+    def test_parent_unknown_level1_value(self, location):
+        with pytest.raises(HierarchyError, match="not a level-1 value"):
+            location.parent("city9", 1)
+
     def test_ancestor_multi_level(self, location):
         assert location.ancestor("a5", 3, 1) == "city1"
         assert location.ancestor("a5", 3, 0) == ALL
@@ -94,6 +103,14 @@ class TestExplicitHierarchy:
         with pytest.raises(HierarchyError):
             ExplicitHierarchy("x", ["l1", "l1"], ["v1"], [{"c": "v1"}])
 
+    def test_construction_rejects_empty_level1_values(self):
+        with pytest.raises(HierarchyError, match="level 1 has no values"):
+            ExplicitHierarchy("x", ["l1"], [])
+
+    def test_construction_rejects_empty_parent_map(self):
+        with pytest.raises(HierarchyError, match="level 2 has no values"):
+            ExplicitHierarchy("x", ["l1", "l2"], ["v1"], [{}])
+
     def test_construction_rejects_empty_levels(self):
         with pytest.raises(HierarchyError):
             ExplicitHierarchy("x", [], ["v1"])
@@ -123,6 +140,16 @@ class TestFanoutHierarchy:
         assert not h.contains(16, 2)
         assert not h.contains(-1, 2)
         assert not h.contains("x", 1)
+
+    def test_level_zero_holds_only_all(self):
+        h = FanoutHierarchy("d", depth=2, fanout=4)
+        assert h.contains(ALL, 0)
+        assert not h.contains(0, 0)
+
+    def test_ancestor_rejects_downward(self):
+        h = FanoutHierarchy("d", depth=3, fanout=4)
+        with pytest.raises(HierarchyError, match="finer level"):
+            h.ancestor(3, 1, 2)
 
     def test_leaf_for_wraps(self):
         h = FanoutHierarchy("d", depth=2, fanout=4)

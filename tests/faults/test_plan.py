@@ -1,7 +1,7 @@
 """The fault-plan machinery itself: parsing, determinism, bounds, guards.
 
 Everything else in the fault-injection PR trusts this module — the
-storage/WAL/RPC seams only ever ask "does a rule fire here, now?" — so
+storage/WAL/snapshot seams only ever ask "does a rule fire here, now?" — so
 its counters, seeding and validation get direct coverage.
 """
 
@@ -20,7 +20,6 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     PRESETS,
-    SUPERVISOR_SITES,
     load_plan,
     preset_plan,
 )
@@ -56,6 +55,14 @@ class TestRuleValidation:
         with pytest.raises(ServiceError, match="count/after"):
             FaultRule(site="store.read", kind="eio", count=-1)
 
+    def test_negative_after_rejected(self):
+        with pytest.raises(ServiceError, match="count/after"):
+            FaultRule(site="store.read", kind="eio", after=-1)
+
+    def test_negative_seconds_rejected(self):
+        with pytest.raises(ServiceError, match="seconds must be >= 0"):
+            FaultRule(site="store.read", kind="latency", seconds=-0.5)
+
 
 class TestPlanParsing:
     def test_from_dict_round_trips(self):
@@ -84,18 +91,29 @@ class TestPlanParsing:
         with pytest.raises(ServiceError, match="'rules' must be a list"):
             FaultPlan.from_dict({"rules": "eio"})
 
-    def test_drop_sites_keeps_wildcards(self):
-        plan = FaultPlan.from_dict(
-            {
-                "rules": [
-                    {"site": "rpc.send", "kind": "eio"},
-                    {"site": "*", "kind": "latency"},
-                    {"site": "store.read", "kind": "eio"},
-                ]
-            }
-        )
-        kept = plan.drop_sites(SUPERVISOR_SITES)
-        assert [r.site for r in kept.rules] == ["*", "store.read"]
+    @pytest.mark.parametrize("payload", [[], "rules", 7, None])
+    def test_plan_must_be_an_object(self, payload):
+        with pytest.raises(ServiceError, match="expected a JSON object"):
+            FaultPlan.from_dict(payload)
+
+    @pytest.mark.parametrize("rule", ["store.read", 3, ["eio"]])
+    def test_each_rule_must_be_an_object(self, rule):
+        with pytest.raises(ServiceError, match="each rule must be an object"):
+            FaultPlan.from_dict({"rules": [rule]})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("count", "twice"), ("after", None), ("probability", "often")],
+    )
+    def test_malformed_rule_values_rejected(self, field, value):
+        rule = {"site": "store.read", "kind": "eio", field: value}
+        with pytest.raises(ServiceError, match="malformed rule"):
+            FaultPlan.from_dict({"rules": [rule]})
+
+    @pytest.mark.parametrize("seed", ["seven", None, [1]])
+    def test_malformed_seed_rejected(self, seed):
+        with pytest.raises(ServiceError, match="malformed seed"):
+            FaultPlan.from_dict({"seed": seed, "rules": []})
 
     def test_every_preset_parses(self):
         for name in PRESETS:
@@ -122,6 +140,17 @@ class TestPlanParsing:
     def test_load_plan_neither_preset_nor_file(self):
         with pytest.raises(ServiceError, match="neither a preset"):
             load_plan("no/such/plan.json")
+
+    def test_load_plan_rejects_unparseable_file(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{not json")
+        with pytest.raises(ServiceError, match="could not read"):
+            load_plan(str(path))
+
+    def test_load_plan_keeps_the_file_seed(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"seed": 4, "rules": []}))
+        assert load_plan(str(path), seed=9).seed == 4
 
 
 class TestInjectorSemantics:
@@ -250,30 +279,12 @@ class TestModuleGuards:
         faults.clear()
         faults.check("store.read")
         assert faults.torn("wal.append") is False
-        assert faults.corrupt("rpc.send", b"abc") == b"abc"
+        assert faults.corrupt("store.read", b"abc") == b"abc"
         assert faults.lie("snapshot.write") is False
         assert faults.stats() is None
-        assert faults.active_plan() is None
+        assert faults.active() is None
 
-    def test_install_and_active_plan_round_trip(self):
+    def test_install_round_trips_the_plan(self):
         plan = preset_plan("wal-torn", seed=4)
         faults.install(plan)
-        assert faults.active_plan() == plan.to_dict()
-
-    def test_install_for_worker_drops_supervisor_sites(self):
-        faults.install(preset_plan("wal-torn", seed=4))
-        # wal-torn is all supervisor-side sites: the worker disarms fully.
-        faults.install_for_worker(faults.active_plan())
-        assert faults.active() is None
-
-    def test_install_for_worker_keeps_storage_sites(self):
-        faults.install(preset_plan("page-bitflip", seed=4))
-        faults.install_for_worker(faults.active_plan())
-        assert faults.active() is not None
-        sites = {r.site for r in faults.active().plan.rules}
-        assert sites == {"store.read"}
-
-    def test_install_for_worker_none_disarms_inherited(self):
-        faults.install(preset_plan("page-bitflip", seed=4))
-        faults.install_for_worker(None)
-        assert faults.active() is None
+        assert faults.active().plan.to_dict() == plan.to_dict()

@@ -93,6 +93,20 @@ class TestBuilder:
         with pytest.raises(QueryError):
             Q.slice((1, 1), fixed=[("d0",)])
 
+    @pytest.mark.parametrize("coord", [7, 1.5, object()])
+    def test_non_sequence_coord_rejected(self, coord):
+        with pytest.raises(QueryError, match="coord must be a sequence"):
+            Q.cell(coord, (0, 0))
+
+    @pytest.mark.parametrize("values", [7, 1.5])
+    def test_non_sequence_values_rejected(self, values):
+        with pytest.raises(QueryError, match="values must be a sequence"):
+            Q.cell((1, 1), values)
+
+    def test_fixed_keys_must_be_dimension_names(self):
+        with pytest.raises(QueryError, match="fixed keys must be dimension"):
+            Q.slice((1, 1), {0: 0})
+
     def test_cache_key_distinguishes_plans(self):
         keys = {spec.cache_key() for spec in every_op_specs()}
         assert len(keys) == len(every_op_specs())
@@ -131,6 +145,10 @@ class TestResolve:
         # Partial resolve (the builder's eager mode) tolerates gaps.
         assert Q.cell().resolve(schema, require=False) == Q.cell()
 
+    def test_coord_arity_checked(self, schema):
+        with pytest.raises(QueryError, match="3 entries for 2 dimensions"):
+            Q.cell((1, 1, 1), (0, 0, 0)).resolve(schema)
+
     def test_fixed_dimensions_checked(self, schema):
         with pytest.raises(SchemaError):
             Q.slice((1, 1), {"nope": 0}).resolve(schema)
@@ -163,6 +181,11 @@ class TestCodec:
             spec_from_dict({"op": "magic"})
         with pytest.raises(QueryError):
             spec_from_dict({"coord": [1, 1]})
+
+    @pytest.mark.parametrize("payload", [["cell"], "cell", None])
+    def test_query_must_be_an_object(self, payload):
+        with pytest.raises(QueryError, match="must be a JSON object"):
+            spec_from_dict(payload)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(QueryError):

@@ -331,3 +331,78 @@ class TestMergeGroups:
 
     def test_empty_groups_mapping(self):
         assert merge_groups({}) == {}
+
+    def test_two_child_group_interval_mismatch_raises(self):
+        with pytest.raises(AggregationError, match="identical intervals"):
+            merge_groups({"k": [ISB(0, 4, 1.0, 0.1), ISB(5, 9, 1.0, 0.1)]})
+
+    def test_small_batch_takes_the_scalar_path_exactly(self):
+        group = [ISB(0, 4, 0.1 * i, 0.01 * i) for i in range(1, 4)]
+        got = merge_groups({"k": group})  # 3 rows < GROUP_MERGE_MIN_ROWS
+        assert got["k"] == merge_standard(group)
+
+
+class TestColumnsAndGuards:
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(AggregationError, match="share one length"):
+            ISBColumns(
+                np.zeros(2, dtype=np.int64),
+                np.zeros(2, dtype=np.int64),
+                np.zeros(2),
+                np.zeros(3),
+            )
+
+    def test_columns_round_trip_isbs(self):
+        isbs = [ISB(0, 4, 1.5, -0.25), ISB(5, 9, -2.0, 0.5)]
+        cols = ISBColumns.from_isbs(isbs)
+        assert len(cols) == 2
+        assert cols.to_isbs() == isbs
+        assert cols.row(1) == isbs[1]
+
+    def test_merge_time_cols_needs_a_child(self):
+        with pytest.raises(AggregationError, match="at least one child"):
+            merge_time_cols(ISBColumns.from_isbs([]))
+
+    def test_merge_time_grid_needs_a_column(self):
+        with pytest.raises(AggregationError, match="at least one child"):
+            merge_time_grid([])
+
+    def test_merge_time_grid_columns_must_be_equally_long(self):
+        first = ISBColumns.from_isbs([ISB(0, 4, 1.0, 0.0)] * 2)
+        second = ISBColumns.from_isbs([ISB(5, 9, 1.0, 0.0)])
+        with pytest.raises(AggregationError, match="equally long"):
+            merge_time_grid([first, second])
+
+    def test_merge_time_grid_column_must_share_one_interval(self):
+        first = ISBColumns.from_isbs([ISB(0, 4, 1.0, 0.0), ISB(0, 3, 1.0, 0.0)])
+        second = ISBColumns.from_isbs([ISB(5, 9, 1.0, 0.0)] * 2)
+        with pytest.raises(AggregationError, match="one interval per column"):
+            merge_time_grid([first, second])
+
+    def test_merge_time_grid_single_column_is_a_copy(self):
+        col = ISBColumns.from_isbs([ISB(0, 4, 1.0, 0.5), ISB(0, 4, 2.0, 0.25)])
+        out = merge_time_grid([col])
+        assert out.to_isbs() == col.to_isbs()
+        out.base[0] = 99.0
+        assert col.base[0] == 1.0
+
+    def test_group_fit_needs_a_segment(self):
+        with pytest.raises(AggregationError, match="at least one segment"):
+            group_fit(
+                np.asarray([5], dtype=np.int64),
+                np.asarray([1.0]),
+                [],
+                5,
+                9,
+            )
+
+    @pytest.mark.parametrize("starts", [[1], [0, 0], [0, 2]])
+    def test_group_fit_rejects_bad_starts(self, starts):
+        with pytest.raises(AggregationError, match="segment starts"):
+            group_fit(
+                np.asarray([5, 6], dtype=np.int64),
+                np.asarray([1.0, 2.0]),
+                starts,
+                5,
+                9,
+            )

@@ -13,11 +13,13 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.io import cells_from_payload, isb_from_dict
 from repro.query import Q
 from repro.service.http import MAX_BODY_BYTES, StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
+from repro.service.subscriptions import MAX_QUEUE_LIMIT, MAX_SUBSCRIPTIONS
 from repro.storage import StorageConfig
 
 from tests.service.conftest import TPQ, workload
@@ -129,6 +131,45 @@ class TestDispatch:
         )
         assert status == 400
         assert service.cube.records_ingested == 0
+
+    @pytest.mark.parametrize("values", ["00", 7, {"a": 0}])
+    def test_ingest_values_must_be_a_list(self, service, values):
+        status, body = service.handle(
+            "POST",
+            "/ingest",
+            {"records": [{"values": values, "t": 0, "z": 1.0}]},
+        )
+        assert status == 400
+        assert "'values' must be a list" in body["error"]
+        assert service.cube.records_ingested == 0
+
+    @pytest.mark.parametrize("payload", [{}, {"t": "soon"}, {"t": None}])
+    def test_advance_needs_an_integer_tick(self, loaded, payload):
+        quarter = loaded.cube.current_quarter
+        status, body = loaded.handle("POST", "/advance", payload)
+        assert status == 400
+        assert "integer 't'" in body["error"]
+        assert loaded.cube.current_quarter == quarter
+
+
+class TestServiceConfig:
+    def test_negative_snapshot_cadence_rejected(self, layers, policy):
+        with ShardedStreamCube(
+            layers, policy, n_shards=1, ticks_per_quarter=TPQ
+        ) as cube:
+            with pytest.raises(ServiceError, match=">= 0"):
+                StreamCubeService(
+                    cube, QueryRouter(cube), snapshot_every_quarters=-1
+                )
+
+    def test_snapshot_cadence_needs_a_directory(self, layers, policy):
+        with ShardedStreamCube(
+            layers, policy, n_shards=1, ticks_per_quarter=TPQ
+        ) as cube:
+            with pytest.raises(ServiceError, match="snapshot_dir"):
+                StreamCubeService(
+                    cube, QueryRouter(cube), snapshot_every_quarters=2
+                )
 
 
 class TestBatchQueries:
@@ -315,52 +356,8 @@ class TestStatsEndpoint:
         assert router["single_flight_fallbacks"] == 0
         assert len(body["shard_cells"]) == 2
         assert sum(body["shard_cells"]) > 0
-
-    def test_stats_expose_inproc_parallel_block(self, loaded):
-        status, body = loaded.handle("GET", "/stats")
-        assert status == 200
-        parallel = body["parallel"]
-        assert parallel["backend"] == "inproc"
-        assert parallel["workers"] == 2
-        assert parallel["pids"] == []
-        assert parallel["restarts"] == 0
-        assert parallel["rpc_round_trips"] == 0
-        assert parallel["queue_high_water"] == [0, 0]
-
-    def test_stats_expose_process_parallel_block(self, layers, policy):
-        cube = ShardedStreamCube(
-            layers,
-            policy,
-            n_shards=2,
-            ticks_per_quarter=TPQ,
-            backend="process",
-        )
-        try:
-            service = StreamCubeService(
-                cube, QueryRouter(cube, window_quarters=4)
-            )
-            records = workload(3, quarters=2)
-            rows = [
-                {"values": list(r.values), "t": r.t, "z": r.z}
-                for r in records
-            ]
-            status, _ = service.handle(
-                "POST", "/ingest", {"records": rows}
-            )
-            assert status == 200
-            status, body = service.handle("GET", "/stats")
-            assert status == 200
-            parallel = body["parallel"]
-            assert parallel["backend"] == "process"
-            assert parallel["workers"] == 2
-            assert len(parallel["pids"]) == 2
-            assert all(
-                isinstance(pid, int) for pid in parallel["pids"]
-            )
-            assert parallel["rpc_round_trips"] > 0
-            assert parallel["restarts"] == 0
-        finally:
-            cube.close()
+        # Shards run in-process only: no execution-backend block.
+        assert "parallel" not in body
 
 
 class TestSubscriptionEndpoints:
@@ -456,6 +453,20 @@ class TestSubscriptionEndpoints:
             status, body = loaded.handle("POST", "/subscribe", payload)
             assert status == 400, payload
             assert "error" in body, payload
+
+    def test_subscribe_caps_answer_400_naming_the_cap(self, loaded):
+        status, body = loaded.handle(
+            "POST", "/subscribe", {"watch": True, "queue_limit": 10**12}
+        )
+        assert status == 400
+        assert "MAX_QUEUE_LIMIT" in body["error"]
+        assert str(MAX_QUEUE_LIMIT) in body["error"]
+        for _ in range(MAX_SUBSCRIPTIONS):
+            status, _ = loaded.handle("POST", "/subscribe", {"watch": True})
+            assert status == 200
+        status, body = loaded.handle("POST", "/subscribe", {"watch": True})
+        assert status == 400
+        assert "MAX_SUBSCRIPTIONS" in body["error"]
 
     def test_stats_expose_subscriptions_block(self, loaded):
         assert loaded.subscriptions.flush(10.0)
@@ -591,6 +602,23 @@ class TestRequestBodyLimits:
         assert status == 413
         assert body["type"] == "PayloadTooLarge"
         assert service.router.stats()["specs_executed"] == 0
+
+    def test_invalid_json_body_is_400(self, live):
+        status, body = _raw_post(live.server_address[1], b"5", b"{op: ")
+        assert status == 400
+        assert body["type"] == "BadRequest"
+        assert "invalid JSON" in body["error"]
+
+    @pytest.mark.parametrize("raw", [b"[]", b"3", b'"cell"'])
+    def test_non_object_body_is_400(self, live, raw):
+        status, body = _raw_post(
+            live.server_address[1], str(len(raw)).encode(), raw
+        )
+        assert status == 400
+        assert body == {
+            "error": "JSON body must be an object",
+            "type": "BadRequest",
+        }
 
     def test_declared_body_is_read(self, live):
         payload = json.dumps({"op": "magic"}).encode()

@@ -177,3 +177,105 @@ class TestShardLockTable:
             assert not table._locks[1]._writer
             assert table._locks[2]._writer
         assert not any(lock._writer for lock in table._locks)
+
+    def test_read_all_releases_when_the_body_raises(self):
+        table = ShardLockTable(2)
+        try:
+            with table.read_all():
+                raise RuntimeError("merged read failed")
+        except RuntimeError:
+            pass
+        assert all(lock._readers == 0 for lock in table._locks)
+        with table.write_all():  # a writer is not wedged afterwards
+            assert all(lock._writer for lock in table._locks)
+
+    def test_write_releases_when_the_body_raises(self):
+        table = ShardLockTable(3)
+        try:
+            with table.write([1, 2]):
+                raise RuntimeError("mutation failed")
+        except RuntimeError:
+            pass
+        assert not any(lock._writer for lock in table._locks)
+        with table.read_all():
+            assert all(lock._readers == 1 for lock in table._locks)
+
+    def test_read_depth_is_per_thread(self):
+        # Reentrancy is per thread: a second thread's merged read takes
+        # its own read locks instead of riding on the first thread's.
+        table = ShardLockTable(2)
+        seen = []
+        with table.read_all():
+            thread = threading.Thread(
+                target=lambda: seen.append(_read_counts_inside(table)),
+                daemon=True,
+            )
+            thread.start()
+            thread.join(5.0)
+        assert seen == [[2, 2]]
+        assert all(lock._readers == 0 for lock in table._locks)
+
+
+def _read_counts_inside(table: ShardLockTable) -> list[int]:
+    with table.read_all():
+        return [lock._readers for lock in table._locks]
+
+
+class TestExclusion:
+    def test_readers_share_the_lock(self):
+        lock = RWLock()
+        both_in = threading.Barrier(2, timeout=5.0)
+
+        def reader():
+            lock.acquire_read()
+            try:
+                both_in.wait()  # only passes if both hold it at once
+            finally:
+                lock.release_read()
+
+        threads = [
+            threading.Thread(target=reader, daemon=True) for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+        assert not both_in.broken
+        assert lock._readers == 0
+
+    def test_writer_excludes_readers_until_release(self):
+        lock = RWLock()
+        lock.acquire_write()
+        entered = threading.Event()
+
+        def reader():
+            lock.acquire_read()
+            entered.set()
+            lock.release_read()
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        assert _wait_until(lambda: lock._readers_waiting == 1)
+        assert not entered.is_set()
+        lock.release_write()
+        assert entered.wait(5.0)
+        thread.join(5.0)
+
+    def test_reader_excludes_a_writer_until_release(self):
+        lock = RWLock()
+        lock.acquire_read()
+        entered = threading.Event()
+
+        def writer():
+            lock.acquire_write()
+            entered.set()
+            lock.release_write()
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        assert _wait_until(lambda: lock._writers_waiting == 1)
+        assert not entered.is_set()
+        lock.release_read()
+        assert entered.wait(5.0)
+        thread.join(5.0)
+        assert not lock._writer

@@ -283,6 +283,16 @@ class TestRestoreCLI:
             restored.close()
 
 
+class TestServeFlags:
+    def test_process_backend_is_rejected(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--backend", "process"])
+        assert info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(
     not hasattr(signal, "SIGTERM") or sys.platform == "win32",
     reason="POSIX signals required",

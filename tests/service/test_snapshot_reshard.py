@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.errors import CodecError, SchemaError
+from repro.errors import CodecError, SchemaError, ServiceError
+from repro.io import payload_checksum
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
@@ -176,6 +177,46 @@ class TestSnapshotRestore:
         victim.unlink()
         with pytest.raises(CodecError, match="missing file"):
             ShardedStreamCube.restore(tmp_path, layers, policy)
+
+    def test_manifest_shard_count_mismatch_raises(
+        self, tmp_path, layers, policy
+    ):
+        with loaded_cube(layers, policy, workload(9), 2) as cube:
+            cube.snapshot(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["n_shards"] = 3
+        manifest["checksum"] = payload_checksum(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CodecError, match="2 shard files for 3 shards"):
+            ShardedStreamCube.restore(tmp_path, layers, policy)
+
+    def test_zero_shard_manifest_raises(self, tmp_path, layers, policy):
+        with loaded_cube(layers, policy, workload(9), 1) as cube:
+            cube.snapshot(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["n_shards"] = 0
+        manifest["shards"] = []
+        manifest["checksum"] = payload_checksum(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ServiceError, match="zero shard states"):
+            ShardedStreamCube.restore(tmp_path, layers, policy)
+
+    def test_shards_from_different_clocks_refused(
+        self, tmp_path, layers, policy
+    ):
+        """A shard file from another cube (here one quarter behind) must
+        not be stitched into a snapshot it was never part of."""
+        records = workload(9)
+        with loaded_cube(layers, policy, records, 2) as cube:
+            cube.snapshot(tmp_path / "ahead")
+        with loaded_cube(layers, policy, records, 2, advance=False) as cube:
+            cube.advance_to(END - TPQ)
+            cube.snapshot(tmp_path / "behind")
+        (victim,) = (tmp_path / "ahead").glob("shard-01-*.json")
+        (stale,) = (tmp_path / "behind").glob("shard-01-*.json")
+        victim.write_text(stale.read_text())
+        with pytest.raises(ServiceError, match="quarter clock"):
+            ShardedStreamCube.restore(tmp_path / "ahead", layers, policy)
 
     def test_unsupported_version_raises(self, tmp_path, layers, policy):
         with loaded_cube(layers, policy, workload(9), 1) as cube:

@@ -11,7 +11,11 @@ from repro.errors import ReproError, ServiceError
 from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
-from repro.service.subscriptions import SubscriptionRegistry
+from repro.service.subscriptions import (
+    MAX_QUEUE_LIMIT,
+    MAX_SUBSCRIPTIONS,
+    SubscriptionRegistry,
+)
 from repro.stream.records import StreamRecord
 
 from tests.service.conftest import TPQ, workload
@@ -226,6 +230,27 @@ class TestValidation:
     def test_registry_queue_limit_validated(self, router):
         with pytest.raises(ServiceError):
             SubscriptionRegistry(router, queue_limit=0)
+
+    def test_queue_limit_has_a_ceiling(self, router, registry):
+        registry.subscribe(watch=True, queue_limit=MAX_QUEUE_LIMIT)
+        with pytest.raises(ServiceError, match="MAX_QUEUE_LIMIT"):
+            registry.subscribe(watch=True, queue_limit=MAX_QUEUE_LIMIT + 1)
+        with pytest.raises(ServiceError, match="MAX_QUEUE_LIMIT"):
+            registry.subscribe_payload({"watch": True, "queue_limit": 10**12})
+        with pytest.raises(ServiceError, match="MAX_QUEUE_LIMIT"):
+            SubscriptionRegistry(router, queue_limit=MAX_QUEUE_LIMIT + 1)
+        assert registry.stats()["active"] == 1
+
+    def test_live_subscriptions_have_a_ceiling(self, registry):
+        ids = [
+            registry.subscribe(watch=True) for _ in range(MAX_SUBSCRIPTIONS)
+        ]
+        with pytest.raises(ServiceError, match="MAX_SUBSCRIPTIONS"):
+            registry.subscribe(Q.observation_deck())
+        assert registry.stats()["active"] == MAX_SUBSCRIPTIONS
+        # The ceiling counts live subscriptions: a freed slot is reusable.
+        assert registry.unsubscribe(ids[0])
+        registry.subscribe(watch=True)
 
     def test_stats_shape(self, cube, registry):
         registry.subscribe(watch=True)

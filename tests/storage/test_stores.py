@@ -7,17 +7,22 @@ append-only segments) get their own tests.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.errors import StorageError
 from repro.storage import (
     ColdPage,
+    FileColdStore,
     StorageConfig,
     open_cold_store,
     open_shard_stores,
     prune_stale_generations,
     shard_store_path,
 )
+from repro.storage.pages import PAGE_HEADER_BYTES
 
 BACKENDS = ("file", "sqlite")
 
@@ -133,6 +138,35 @@ class TestFileBackendDurability:
             assert s.get_segment(0, 4, 7) == page(0, 4, 7)
         assert seg.read_bytes() == whole  # tail dropped for future appends
 
+    @pytest.mark.parametrize(
+        "tail",
+        ["length-prefix", "garbled-header", "length-disagrees"],
+    )
+    def test_every_torn_tail_shape_is_truncated(self, tmp_path, tail):
+        with open_cold_store(tmp_path / "s", backend="file") as s:
+            s.put_segment(page(0, 0, 3))
+        (seg,) = sorted((tmp_path / "s").glob("L*.seg"))
+        whole = seg.read_bytes()
+        header_bytes = PAGE_HEADER_BYTES
+        if tail == "length-prefix":
+            garbage = b"\x40\x00"
+        elif tail == "garbled-header":
+            garbage = struct.pack("<I", header_bytes) + b"X" * header_bytes
+        else:  # a real header whose declared size exceeds the prefix
+            garbage = (
+                struct.pack("<I", header_bytes)
+                + page(0, 4, 7).encode()[:header_bytes]
+            )
+        seg.write_bytes(whole + garbage)
+        with open_cold_store(tmp_path / "s", backend="file") as s:
+            assert s.scan() == [(0, 0, 3)]
+            assert s.get_segment(0, 0, 3) == page(0, 0, 3)
+        assert seg.read_bytes() == whole
+
+    def test_partition_ticks_must_be_positive(self, tmp_path):
+        with pytest.raises(StorageError, match="partition_ticks"):
+            FileColdStore(tmp_path / "s", partition_ticks=0)
+
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="unknown cold-store backend"):
             open_cold_store(tmp_path / "x", backend="shoebox")
@@ -238,6 +272,71 @@ class TestShardLayout:
         finally:
             for s in stores:
                 s.close()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            json.dumps({"generation": 1}),
+            json.dumps({"generation": "one", "n_shards": 1, "backend": "file"}),
+        ],
+    )
+    def test_malformed_marker_rejected(self, tmp_path, text):
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "g0001.ok").write_text(text)
+        with pytest.raises(StorageError, match="malformed"):
+            open_shard_stores(self.config(tmp_path), 1, shard_key)
+
+    def test_marker_disagreeing_with_its_name_rejected(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "g0002.ok").write_text(
+            json.dumps({"generation": 1, "n_shards": 1, "backend": "file"})
+        )
+        with pytest.raises(StorageError, match="disagrees with its own name"):
+            open_shard_stores(self.config(tmp_path), 1, shard_key)
+
+    def test_reshard_fills_shards_that_held_no_page(self, tmp_path):
+        """An interval only one old shard wrote still reaches every new
+        shard, each with its rows plus the zero row."""
+        config = self.config(tmp_path)
+        _, stores = open_shard_stores(config, 2, shard_key)
+        keys = [(i, i) for i in range(4)]
+        stores[1].put_segment(
+            ColdPage(
+                0, 0, 3, keys, [1.0] * 4, [0.0] * 4,
+                zero_base=2.0, zero_slope=0.5,
+            )
+        )
+        for s in stores:
+            s.close()
+        generation, stores = open_shard_stores(config, 3, shard_key)
+        try:
+            assert generation == 2
+            rows = 0
+            for s in stores:
+                got = s.get_segment(0, 0, 3)
+                assert got.zero_isb().base == 2.0
+                rows += len(got.keys)
+            assert rows == 4
+        finally:
+            for s in stores:
+                s.close()
+
+    def test_prune_removes_sqlite_generation_files(self, tmp_path):
+        config = self.config(tmp_path, backend="sqlite")
+        _, stores = open_shard_stores(config, 1, shard_key)
+        for s in stores:
+            s.close()
+        generation, stores = open_shard_stores(config, 2, shard_key)
+        for s in stores:
+            s.close()
+        old = shard_store_path(config.root, 1, 0, 1, "sqlite")
+        assert old.is_file()
+        assert prune_stale_generations(config, generation) == 1
+        assert not old.exists()
+        assert shard_store_path(config.root, 2, 1, 2, "sqlite").is_file()
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(StorageError, match="backend"):

@@ -6,14 +6,17 @@ import json
 
 import pytest
 
-from repro.errors import SchemaError
+from repro import faults
+from repro.errors import CodecError, SchemaError, StorageError
 from repro.io import (
+    check_format,
     dump_cells,
     dump_exceptions,
     isb_from_dict,
     isb_to_dict,
     load_cells,
     load_exceptions,
+    write_atomic,
 )
 from repro.regression.isb import ISB
 
@@ -106,3 +109,51 @@ class TestExceptionsFile:
         path = tmp_path / "dataset.json"
         dump_cells(tiny_dataset.cells, path)
         assert load_cells(path) == tiny_dataset.cells
+
+
+class TestCheckFormat:
+    @pytest.mark.parametrize("payload", [[], "repro-cells", None])
+    def test_payload_must_be_an_object(self, payload):
+        with pytest.raises(CodecError, match="expected a JSON object"):
+            check_format("cells", payload, "repro-cells", 1)
+
+    def test_matching_envelope_passes(self):
+        check_format("cells", {"format": "f", "version": 2}, "f", 2)
+
+
+class TestWriteAtomic:
+    @pytest.fixture(autouse=True)
+    def disarm(self):
+        faults.clear()
+        yield
+        faults.clear()
+
+    def arm(self, kind, count):
+        faults.install(
+            faults.FaultPlan.from_dict(
+                {"rules": [{"site": "snapshot.write", "kind": kind, "count": count}]}
+            )
+        )
+
+    def test_replaces_the_previous_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_atomic(path, "old")
+        write_atomic(path, "new")
+        assert path.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+    def test_torn_write_is_retried_whole(self, tmp_path):
+        path = tmp_path / "state.json"
+        self.arm("torn", 1)
+        write_atomic(path, "x" * 100)
+        assert path.read_text() == "x" * 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+    def test_persistent_failure_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_atomic(path, "old")
+        self.arm("eio", 0)  # count 0: every attempt fails
+        with pytest.raises(StorageError, match="failed even after retry"):
+            write_atomic(path, "new")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]

@@ -5,9 +5,9 @@ ENOSPC mid-snapshot) is one the durability layer repairs in place, so a
 scenario run with a plan armed must still pass **bit-identically** —
 same oracle agreement, same engine==cube equivalence — not merely
 survive.  The default leg keeps CI fast: three recovery-heavy scenarios
-x three presets on the file store, plus a process-backend spot check on
+x three presets on the file store, plus a crash-recovery spot check on
 sqlite.  ``FAULT_MATRIX=full`` (the nightly leg) widens to the whole
-catalogue x both stores x both execution backends.
+catalogue x both stores.
 """
 
 from __future__ import annotations
@@ -31,39 +31,30 @@ FULL = os.environ.get("FAULT_MATRIX") == "full"
 def combos():
     names = tuple(SCENARIOS) if FULL else QUICK_SCENARIOS
     storages = ("file", "sqlite") if FULL else ("file",)
-    backends = ("inproc", "process") if FULL else ("inproc",)
     for name in names:
         for preset in PRESETS:
             for storage in storages:
-                for backend in backends:
-                    if (
-                        SCENARIOS[name].backend == "process"
-                        and backend == "inproc"
-                    ):
-                        continue  # KillWorker/SlowRpc need real workers
-                    yield name, preset, storage, backend
+                yield name, preset, storage
     if not FULL:
-        # One process-backend x sqlite spot check per preset keeps the
-        # forked-worker fault seams (plan shipped via WorkerSpec, RPC
-        # sites dropped) covered on every CI run.
+        # One sqlite spot check per preset keeps the second cold store's
+        # fault seams covered on every CI run.
         for preset in PRESETS:
-            yield "crash_replay", preset, "sqlite", "process"
+            yield "crash_replay", preset, "sqlite"
 
 
 @pytest.mark.parametrize(
-    "name,preset,storage,backend",
+    "name,preset,storage",
     list(combos()),
     ids=lambda v: str(v),
 )
 def test_scenario_passes_bit_identically_under_faults(
-    name, preset, storage, backend, tmp_path
+    name, preset, storage, tmp_path
 ):
     report = run_scenario(
         name,
         seed=29,
         workdir=tmp_path,
         storage=storage,
-        backend=backend,
         fault_plan=preset,
     )
     assert report.checks > 0

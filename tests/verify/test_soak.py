@@ -21,16 +21,6 @@ def test_short_soak_zero_mismatches(seed, tmp_path):
     assert sum(report.requests.values()) > 0
 
 
-def test_short_process_soak_zero_mismatches(tmp_path):
-    """The same concurrent workload against live forked shard workers —
-    queries, snapshots and restore audits all cross the RPC boundary."""
-    config = SoakConfig(seed=3, duration=1.5, backend="process")
-    report = run_soak(config, tmp_path)
-    assert report.mismatches == 0, report.describe()
-    assert report.batches_acked > 0
-    assert report.snapshots >= 1
-
-
 def test_short_soak_with_subscribers(tmp_path):
     """Continuous-query push clients under the full concurrent workload:
     every delivered update obeys the ordering contract, and the final
